@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, EvaluationError, FederationFormatError
+from .errors import ConfigError, EvaluationError
 from .experiment import ExperimentConfig, load_config, run_baseline, run_experiment, sweep
 
 
@@ -71,7 +71,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{grid_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
             rows = sweep(config, grid)
             print(f"sweep complete: {len(rows)} rows -> {config.output_dir / 'sweep.csv'}")
-    except (ConfigError, FederationFormatError, EvaluationError, ValueError, OSError) as exc:
+    except (ValueError, EvaluationError, FloatingPointError, OSError) as exc:
+        # ValueError includes ConfigError and FederationFormatError;
+        # FloatingPointError is a run that diverged
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

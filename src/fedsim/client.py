@@ -1,12 +1,15 @@
 """Client-side local training: mini-batch SGD over one user's partition.
 
-Shuffling is reseeded per (round_seed, user_id, epoch), so running many
-clients concurrently reproduces the sequential result exactly.
+Shuffling is reseeded per (round_seed, user_id, epoch), so a client's
+result does not depend on which other clients train or in what order. The
+centralized baseline draws its batches from the same generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Final
 
@@ -54,6 +57,19 @@ def local_step_count(n_k: int, batch_size: int | None, epochs: int) -> int:
     return epochs * max(math.ceil(n_k / b), 1)
 
 
+def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndarray]:
+    """Endless index arrays of shuffled mini-batches over n examples.
+
+    Each epoch is a fresh permutation seeded by derive_seed(*seed_parts,
+    epoch); its final partial batch is yielded as-is.
+    """
+    batch = n if batch_size is FULL_BATCH else batch_size
+    for epoch in itertools.count():
+        order = np.random.default_rng(derive_seed(*seed_parts, epoch)).permutation(n)
+        for start in range(0, n, batch):
+            yield order[start : start + batch]
+
+
 def train_local(
     w_start: np.ndarray,
     partition: ClientPartition,
@@ -68,18 +84,13 @@ def train_local(
     """
     X, y = model.batch_arrays(spec, partition.examples)
     n = X.shape[0]
-    batch = n if cfg.batch_size is FULL_BATCH else cfg.batch_size
     w = np.array(w_start, dtype=np.float64, copy=True)
     if w.shape != (spec.param_count,):
         raise ValueError(f"weights have shape {w.shape}, expected ({spec.param_count},)")
 
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(derive_seed(round_seed, partition.user_id, epoch))
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            g = model.gradient_from_arrays(spec, w, X[idx], y[idx])
-            w -= cfg.eta_local * g
+    batches = minibatches(n, cfg.batch_size, round_seed, partition.user_id)
+    for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
+        w -= cfg.eta_local * model.gradient_from_arrays(spec, w, X[idx], y[idx])
 
     if not np.all(np.isfinite(w)):
         raise FloatingPointError(f"user {partition.user_id}: local training diverged")

@@ -9,6 +9,7 @@ computable downstream.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,6 +220,12 @@ def save_federation(federation: Federation, path: str | Path) -> None:
 
 _RECORD_KEYS = {"user_id", "features", "label", "duration_s"}
 
+# Values decoded from JSON are exactly int, float, bool, str, list, dict or
+# None, so exact type tests suffice (and exclude bool). A number x is finite
+# when -_FLOAT_MAX <= x <= _FLOAT_MAX: false for NaN, the infinities Python's
+# json accepts, and integers too large for a float.
+_FLOAT_MAX = sys.float_info.max
+
 
 def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) -> tuple[int, LabeledExample]:
     try:
@@ -233,18 +240,18 @@ def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) ->
     features = obj["features"]
     label = obj["label"]
     duration = obj["duration_s"]
-    if not isinstance(user_id, int) or isinstance(user_id, bool):
+    if type(user_id) is not int:
         raise FederationFormatError("user_id must be an integer", line=line_no)
-    if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < class_count:
+    if type(label) is not int or not 0 <= label < class_count:
         raise FederationFormatError(f"label must be an integer in [0, {class_count})", line=line_no)
     if not isinstance(features, list) or len(features) != feature_dim:
         raise FederationFormatError(
             f"features must be a list of {feature_dim} reals", line=line_no
         )
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in features):
-        raise FederationFormatError("features must be numeric", line=line_no)
-    if not isinstance(duration, (int, float)) or isinstance(duration, bool) or duration < 0:
-        raise FederationFormatError("duration_s must be a nonnegative real", line=line_no)
+    if not all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in features):
+        raise FederationFormatError("features must be finite numbers", line=line_no)
+    if type(duration) not in (int, float) or not 0 <= duration <= _FLOAT_MAX:
+        raise FederationFormatError("duration_s must be a finite nonnegative real", line=line_no)
     example = LabeledExample(
         features=np.array(features, dtype=np.float64), label=label, duration_s=float(duration)
     )
@@ -272,9 +279,9 @@ def load_federation(path: str | Path) -> Federation:
             'header must be {"feature_dim": int, "class_count": int}', line=1
         )
     feature_dim, class_count = header["feature_dim"], header["class_count"]
-    if not isinstance(feature_dim, int) or feature_dim < 1:
+    if type(feature_dim) is not int or feature_dim < 1:
         raise FederationFormatError("feature_dim must be a positive integer", line=1)
-    if not isinstance(class_count, int) or class_count < 2:
+    if type(class_count) is not int or class_count < 2:
         raise FederationFormatError("class_count must be an integer >= 2", line=1)
 
     partitions: list[ClientPartition] = []

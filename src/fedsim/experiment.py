@@ -9,17 +9,21 @@ the master seed expands into per-purpose seeds via `seeding.derive_seed`.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import itertools
 import json
+import sys
 import time
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_ops
-from .client import FULL_BATCH, LocalTrainingConfig, local_step_count
+from .client import LocalTrainingConfig, local_step_count, minibatches
 from .data import (
     Federation,
     FederationSpec,
@@ -35,6 +39,7 @@ from .server import (
     AveragingStrategy,
     RoundConfig,
     ServerState,
+    apply_adam,
     run_round,
     upload_cost_bytes,
 )
@@ -42,6 +47,10 @@ from .server import (
 # Default split: most users train, the rest divides evenly into dev and test.
 DEFAULT_TRAIN_FRAC = 1374 / 1774
 DEFAULT_DEV_FRAC = 200 / 1774
+
+# Field metadata key naming the JSON object a field is written under, when
+# that differs from the object of its dataclass.
+JSON_SECTION = "json_section"
 
 
 class BaselineMode(str, enum.Enum):
@@ -74,12 +83,15 @@ class FederationSource:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; its JSON form (config_from_dict, to_dict) is derived
+    from these fields, with train_frac/dev_frac grouped under "split"."""
+
     federation: FederationSource
     model: ModelSpec
     local: LocalTrainingConfig = LocalTrainingConfig()
-    strategy: AveragingStrategy = AveragingStrategy.adam()
-    train_frac: float = DEFAULT_TRAIN_FRAC
-    dev_frac: float = DEFAULT_DEV_FRAC
+    strategy: AveragingStrategy = AveragingStrategy()
+    train_frac: float = field(default=DEFAULT_TRAIN_FRAC, metadata={JSON_SECTION: "split"})
+    dev_frac: float = field(default=DEFAULT_DEV_FRAC, metadata={JSON_SECTION: "split"})
     participation: float = 0.1
     max_rounds: int = 100
     targets: EvalTargets = EvalTargets()
@@ -88,7 +100,6 @@ class ExperimentConfig:
     eval_every: int = 1
     eval_mode: EvalMode = EvalMode.FEDERATED
     baseline_mode: BaselineMode = BaselineMode.NONE
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -97,55 +108,9 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be >= 1")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation ratio must lie in (0, 1]")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def to_dict(self) -> dict:
-        if self.federation.synthesize is not None:
-            spec = self.federation.synthesize
-            federation = {
-                "synthesize": {
-                    "user_count": spec.user_count,
-                    "size_mean": spec.size_mean,
-                    "size_std": spec.size_std,
-                    "positive_rate": spec.positive_rate,
-                    "feature_dim": spec.feature_dim,
-                    "class_count": spec.class_count,
-                    "user_shift_scale": spec.user_shift_scale,
-                    "negative_duration_s": spec.negative_duration_s,
-                }
-            }
-        else:
-            federation = {"load": str(self.federation.load)}
-        return {
-            "federation": federation,
-            "split": {"train_frac": self.train_frac, "dev_frac": self.dev_frac},
-            "model": {"layer_dims": list(self.model.layer_dims), "activation": self.model.activation},
-            "local": {
-                "epochs": self.local.epochs,
-                "batch_size": self.local.batch_size,
-                "eta_local": self.local.eta_local,
-            },
-            "strategy": {
-                "kind": self.strategy.kind.value,
-                "eta_global": self.strategy.eta_global,
-                "beta1": self.strategy.beta1,
-                "beta2": self.strategy.beta2,
-                "epsilon": self.strategy.epsilon,
-            },
-            "participation": self.participation,
-            "max_rounds": self.max_rounds,
-            "targets": {
-                "fah_budget": self.targets.fah_budget,
-                "recall_target": self.targets.recall_target,
-            },
-            "master_seed": self.master_seed,
-            "output_dir": None if self.output_dir is None else str(self.output_dir),
-            "eval_every": self.eval_every,
-            "eval_mode": self.eval_mode.value,
-            "baseline_mode": self.baseline_mode.value,
-            "workers": self.workers,
-        }
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -166,160 +131,102 @@ class ExperimentResult:
     metrics: list[MetricsRecord]
 
 
+def _to_json(value):
+    """JSON form of a config value; config_from_dict reads it back."""
+    if dataclasses.is_dataclass(value):
+        out: dict = {}
+        for f in dataclasses.fields(value):
+            item = _to_json(getattr(value, f.name))
+            if item is None and isinstance(value, FederationSource):
+                continue  # only the chosen source is written
+            section = f.metadata.get(JSON_SECTION)
+            (out.setdefault(section, {}) if section else out)[f.name] = item
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
 class _Section:
-    """Dict view that tracks consumption and rejects unknown keys."""
+    """A JSON object consumed key by key; keys left over are unknown."""
 
-    _MISSING = object()
-
-    def __init__(self, mapping, where: str):
-        if not isinstance(mapping, dict):
-            raise ConfigError(f"{where} must be a JSON object")
-        self._d = dict(mapping)
+    def __init__(self, raw, where: str):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where or 'config'} must be a JSON object")
+        self.rest = dict(raw)
         self.where = where
 
-    def take(self, key: str, default=_MISSING):
-        if key in self._d:
-            return self._d.pop(key)
-        if default is self._MISSING:
-            raise ConfigError(f"{self.where}: missing required key {key!r}")
-        return default
+    def key(self, name: str) -> str:
+        return f"{self.where}.{name}" if self.where else name
 
     def done(self) -> None:
-        if self._d:
-            raise ConfigError(f"{self.where}: unknown keys {sorted(self._d)}")
+        if self.rest:
+            raise ConfigError(f"{self.where or 'config'}: unknown keys {sorted(self.rest)}")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
+def _from_json(cls, raw, where: str = ""):
+    """Build dataclass `cls` from a JSON object, field by field.
 
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
-
-
-def _parse_federation(obj) -> FederationSource:
-    section = _Section(obj, "federation")
-    if "synthesize" in section._d and "load" in section._d:
-        raise ConfigError("federation source needs exactly one of 'synthesize' or 'load'")
-    if "synthesize" in section._d:
-        spec_section = _Section(section.take("synthesize"), "federation.synthesize")
-        spec = FederationSpec(
-            user_count=_as_int(spec_section.take("user_count"), "user_count"),
-            size_mean=_as_float(spec_section.take("size_mean", 39.0), "size_mean"),
-            size_std=_as_float(spec_section.take("size_std", 32.0), "size_std"),
-            positive_rate=_as_float(spec_section.take("positive_rate", 0.18), "positive_rate"),
-            feature_dim=_as_int(spec_section.take("feature_dim", 10), "feature_dim"),
-            class_count=_as_int(spec_section.take("class_count", 2), "class_count"),
-            user_shift_scale=_as_float(spec_section.take("user_shift_scale", 1.0), "user_shift_scale"),
-            negative_duration_s=_as_float(
-                spec_section.take("negative_duration_s", 3.0), "negative_duration_s"
-            ),
-        )
-        spec_section.done()
+    Absent keys take the dataclass default. Unknown keys, missing required
+    keys and mistyped values raise ConfigError naming the dotted key.
+    """
+    top = _Section(raw, where)
+    sections = {None: top}
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        name = f.metadata.get(JSON_SECTION)
+        if name not in sections:
+            sections[name] = _Section(top.rest.pop(name, {}), top.key(name))
+        section = sections[name]
+        if f.name in section.rest:
+            kwargs[f.name] = _coerce(hints[f.name], section.rest.pop(f.name), section.key(f.name))
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {section.key(f.name)!r}")
+    for section in sections.values():
         section.done()
-        return FederationSource(synthesize=spec)
-    path = _as_str(section.take("load"), "federation.load")
-    section.done()
-    return FederationSource(load=Path(path))
+    return cls(**kwargs)
+
+
+def _coerce(tp, value, key: str):
+    """Check a JSON value against a field's type hint and convert it."""
+    if isinstance(tp, types.UnionType):  # X | None
+        (inner,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+        return None if value is None else _coerce(inner, value, key)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        inner = typing.get_args(tp)[0]
+        return tuple(_coerce(inner, item, f"{key}[{i}]") for i, item in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return _from_json(tp, value, key)
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        if is_number and isinstance(value, int):
+            return value
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if tp is float:
+        # the range test is false for NaN, the infinities and integers too large for a float
+        if is_number and -sys.float_info.max <= value <= sys.float_info.max:
+            return float(value)
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be one of {[m.value for m in tp]}, got {value!r}") from None
+    return tp(value)  # str or Path
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig, fail-fast."""
-    top = _Section(raw, "config")
-    federation = _parse_federation(top.take("federation"))
-
-    model_section = _Section(top.take("model"), "model")
-    dims = model_section.take("layer_dims")
-    if not isinstance(dims, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in dims
-    ):
-        raise ConfigError("model.layer_dims must be a list of integers")
-    spec = ModelSpec(
-        layer_dims=tuple(dims),
-        activation=_as_str(model_section.take("activation", "relu"), "model.activation"),
-    )
-    model_section.done()
-
-    split_section = _Section(top.take("split", {}), "split")
-    train_frac = _as_float(split_section.take("train_frac", DEFAULT_TRAIN_FRAC), "train_frac")
-    dev_frac = _as_float(split_section.take("dev_frac", DEFAULT_DEV_FRAC), "dev_frac")
-    split_section.done()
-
-    local_section = _Section(top.take("local", {}), "local")
-    batch_size = local_section.take("batch_size", FULL_BATCH)
-    if batch_size is not FULL_BATCH and batch_size is not None:
-        batch_size = _as_int(batch_size, "local.batch_size")
-    local = LocalTrainingConfig(
-        epochs=_as_int(local_section.take("epochs", 1), "local.epochs"),
-        batch_size=batch_size,
-        eta_local=_as_float(local_section.take("eta_local", 0.01), "local.eta_local"),
-    )
-    local_section.done()
-
-    strategy_section = _Section(top.take("strategy", {}), "strategy")
-    kind = _as_str(strategy_section.take("kind", "adam"), "strategy.kind")
-    try:
-        strategy = AveragingStrategy(
-            kind=kind,
-            eta_global=_as_float(
-                strategy_section.take("eta_global", 1e-3 if kind == "adam" else 1.0), "eta_global"
-            ),
-            beta1=_as_float(strategy_section.take("beta1", 0.9), "beta1"),
-            beta2=_as_float(strategy_section.take("beta2", 0.999), "beta2"),
-            epsilon=_as_float(strategy_section.take("epsilon", 1e-8), "epsilon"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"strategy: {exc}") from None
-    strategy_section.done()
-
-    targets_section = _Section(top.take("targets", {}), "targets")
-    targets = EvalTargets(
-        fah_budget=_as_float(targets_section.take("fah_budget", 5.0), "fah_budget"),
-        recall_target=_as_float(targets_section.take("recall_target", 0.95), "recall_target"),
-    )
-    targets_section.done()
-
-    eval_mode = _as_str(top.take("eval_mode", "federated"), "eval_mode")
-    baseline_mode = _as_str(top.take("baseline_mode", "none"), "baseline_mode")
-    try:
-        eval_mode = EvalMode(eval_mode)
-        baseline_mode = BaselineMode(baseline_mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    output_dir = top.take("output_dir", None)
-    if output_dir is not None:
-        output_dir = Path(_as_str(output_dir, "output_dir"))
-
-    config = ExperimentConfig(
-        federation=federation,
-        model=spec,
-        local=local,
-        strategy=strategy,
-        train_frac=train_frac,
-        dev_frac=dev_frac,
-        participation=_as_float(top.take("participation", 0.1), "participation"),
-        max_rounds=_as_int(top.take("max_rounds", 100), "max_rounds"),
-        targets=targets,
-        master_seed=_as_int(top.take("master_seed", 0), "master_seed"),
-        output_dir=output_dir,
-        eval_every=_as_int(top.take("eval_every", 1), "eval_every"),
-        eval_mode=eval_mode,
-        baseline_mode=baseline_mode,
-        workers=_as_int(top.take("workers", 1), "workers"),
-    )
-    top.done()
-    return config
+    return _from_json(ExperimentConfig, raw)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -361,18 +268,22 @@ def _prepare(config: ExperimentConfig):
     return federation, train, dev, test, w0
 
 
-def _write_metrics_csv(path: Path, metrics: list[MetricsRecord]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"])
-        for rec in metrics:
-            writer.writerow([rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb])
-
-
-def _write_report(path: Path, report: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]) -> ExperimentResult:
+    """Write metrics.csv and report.json when output_dir is set."""
+    if config.output_dir is not None:
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with (out / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"])
+            for rec in metrics:
+                writer.writerow(
+                    [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb]
+                )
+        with (out / "report.json").open("w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return ExperimentResult(report=report, metrics=metrics)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -389,7 +300,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         local=config.local,
         strategy=config.strategy,
         model=config.model,
-        workers=config.workers,
     )
     state = ServerState.initial(w0)
     d = config.model.param_count
@@ -436,29 +346,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "wall_seconds": time.perf_counter() - t0,
         "config_echo": config.to_dict(),
     }
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_metrics_csv(out / "metrics.csv", metrics)
-        _write_report(out / "report.json", report)
-    return ExperimentResult(report=report, metrics=metrics)
-
-
-def _adam_step(w, m, v, step, grad, eta, beta1, beta2, epsilon):
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    return w - eta * m_hat / (np.sqrt(v_hat) + epsilon), m, v
+    return _finish(config, report, metrics)
 
 
 def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     """Centralized reference: pool all train users' data on one server.
 
-    Performs up to max_rounds mini-batch steps (epoch-shuffled, partial final
-    batch kept) with plain SGD at eta_local or Adam at the strategy's
-    eta_global/beta/epsilon settings, evaluating dev users with the same
-    pipeline as the federated runs.
+    Performs up to max_rounds mini-batch steps, drawn from the clients'
+    batch generator with seed parts (master_seed, "baseline"), with plain SGD
+    at eta_local or the server's Adam at the strategy's settings, evaluating
+    dev users with the same pipeline as the federated runs.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
@@ -470,60 +367,35 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         examples.extend(federation.partition(uid).examples)
     X, y = model_ops.batch_arrays(config.model, examples)
     n = X.shape[0]
-    batch = n if config.local.batch_size is FULL_BATCH else config.local.batch_size
-    d = config.model.param_count
 
-    w = w0.copy()
-    m = np.zeros(d)
-    v = np.zeros(d)
+    state = ServerState.initial(w0)
     metrics: list[MetricsRecord] = []
     steps_to_target = None
     dev_metric = None
-    step = 0
 
-    epoch = 0
-    cursor = 0
-    order = np.random.default_rng(derive_seed(config.master_seed, "baseline", epoch)).permutation(n)
-    while step < config.max_rounds and steps_to_target is None:
-        if cursor >= n:
-            epoch += 1
-            cursor = 0
-            order = np.random.default_rng(
-                derive_seed(config.master_seed, "baseline", epoch)
-            ).permutation(n)
-        idx = order[cursor : cursor + batch]
-        cursor += batch
-        grad = model_ops.gradient_from_arrays(config.model, w, X[idx], y[idx])
-        step += 1
+    batches = minibatches(n, config.local.batch_size, config.master_seed, "baseline")
+    for step, idx in enumerate(itertools.islice(batches, config.max_rounds), start=1):
+        grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
         if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
-            w, m, v = _adam_step(
-                w,
-                m,
-                v,
-                step,
-                grad,
-                config.strategy.eta_global,
-                config.strategy.beta1,
-                config.strategy.beta2,
-                config.strategy.epsilon,
-            )
+            state = apply_adam(state, grad, config.strategy)
         else:
-            w = w - config.local.eta_local * grad
+            state = replace(state, weights=state.weights - config.local.eta_local * grad)
         if step % config.eval_every == 0 or step == config.max_rounds:
-            dev_metric = _evaluate(config, w, federation, dev)
+            dev_metric = _evaluate(config, state.weights, federation, dev)
             metrics.append(
                 MetricsRecord(
                     round=step,
                     dev_metric=dev_metric,
-                    train_loss_mean=model_ops.loss_from_arrays(config.model, w, X, y),
+                    train_loss_mean=model_ops.loss_from_arrays(config.model, state.weights, X, y),
                     cumulative_upload_mb=0.0,
                     wall_seconds=time.perf_counter() - t0,
                 )
             )
             if early_stop_check(dev_metric, config.targets):
                 steps_to_target = step
+                break
 
-    test_metric = _evaluate(config, w, federation, test) if test else None
+    test_metric = _evaluate(config, state.weights, federation, test) if test else None
     report = {
         "steps_to_target": steps_to_target,
         "dev_metric": dev_metric,
@@ -532,12 +404,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         "wall_seconds": time.perf_counter() - t0,
         "config_echo": config.to_dict(),
     }
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_metrics_csv(out / "metrics.csv", metrics)
-        _write_report(out / "report.json", report)
-    return ExperimentResult(report=report, metrics=metrics)
+    return _finish(config, report, metrics)
 
 
 def _set_dotted(mapping: dict, dotted: str, value) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,18 +30,28 @@ class AveragingKind(str, enum.Enum):
     ADAM = "adam"
 
 
+# Server learning rate when none is given: plain averaging with rate 1 is
+# exactly weighted model averaging; 1e-3 is the usual Adam step size.
+DEFAULT_ETA_GLOBAL = {AveragingKind.PLAIN: 1.0, AveragingKind.ADAM: 1e-3}
+
+
 @dataclass(frozen=True)
 class AveragingStrategy:
-    """Global update rule; beta/epsilon fields matter only for ADAM."""
+    """Global update rule; beta/epsilon fields matter only for ADAM.
 
-    kind: AveragingKind
-    eta_global: float = 1.0
+    eta_global defaults (None) to DEFAULT_ETA_GLOBAL for the kind.
+    """
+
+    kind: AveragingKind = AveragingKind.ADAM
+    eta_global: float | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AveragingKind(self.kind))
+        if self.eta_global is None:
+            object.__setattr__(self, "eta_global", DEFAULT_ETA_GLOBAL[self.kind])
         if self.eta_global <= 0:
             raise ConfigError("eta_global must be positive")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
@@ -51,20 +60,13 @@ class AveragingStrategy:
             raise ConfigError("epsilon must be positive")
 
     @classmethod
-    def plain(cls, eta_global: float = 1.0) -> "AveragingStrategy":
+    def plain(cls, eta_global: float | None = None) -> "AveragingStrategy":
         return cls(kind=AveragingKind.PLAIN, eta_global=eta_global)
 
     @classmethod
-    def adam(
-        cls,
-        eta_global: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AveragingStrategy":
-        return cls(
-            kind=AveragingKind.ADAM, eta_global=eta_global, beta1=beta1, beta2=beta2, epsilon=epsilon
-        )
+    def adam(cls, eta_global: float | None = None, **moments) -> "AveragingStrategy":
+        """Adam rule; beta1, beta2 and epsilon may be given by keyword."""
+        return cls(kind=AveragingKind.ADAM, eta_global=eta_global, **moments)
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,10 @@ class RoundConfig:
     local: LocalTrainingConfig
     strategy: AveragingStrategy
     model: ModelSpec
-    workers: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation ratio must lie in (0, 1]")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 def select_clients(user_ids, participation: float, round_seed: int) -> list[int]:
@@ -198,10 +197,9 @@ def run_round(
 ) -> tuple[ServerState, RoundRecord]:
     """One synchronous communication round.
 
-    Selected clients all train from the same broadcast weights (optionally
-    fanned out to a thread pool; results are identical either way), their
-    deltas are aggregated into a pseudo-gradient, and the configured update
-    rule advances the global weights.
+    Selected clients all train from the same broadcast weights, their deltas
+    are aggregated into a pseudo-gradient, and the configured update rule
+    advances the global weights.
     """
     if state.weights.shape != (cfg.model.param_count,):
         raise ValueError(
@@ -211,21 +209,12 @@ def run_round(
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
     parts = [federation.partition(uid) for uid in selected]
     w_prev = state.weights
-
-    def _train(part):
-        return train_local(w_prev, part, cfg.local, cfg.model, round_seed)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            updates = list(pool.map(_train, parts))
-    else:
-        updates = [_train(part) for part in parts]
+    updates = [train_local(w_prev, part, cfg.local, cfg.model, round_seed) for part in parts]
 
     grad = pseudo_gradient(w_prev, updates)
-    if cfg.strategy.kind is AveragingKind.ADAM:
-        new_state = apply_adam(state, grad, cfg.strategy)
-    else:
-        new_state = apply_plain(state, grad, cfg.strategy)
+    # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
+    update_rule = {AveragingKind.PLAIN: apply_plain, AveragingKind.ADAM: apply_adam}
+    new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
 
     n_r = sum(p.size for p in parts)
     train_loss = sum(

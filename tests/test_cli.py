@@ -71,6 +71,16 @@ def test_baseline_command(config_file, tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_diverged_run_fails_with_diagnostic(config_file, capsys):
+    path, _ = config_file
+    raw = json.loads(path.read_text())
+    raw["local"]["eta_local"] = 1e308
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

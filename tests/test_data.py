@@ -182,14 +182,22 @@ class TestFederationFile:
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
-        path.write_text(
-            json.dumps({"feature_dim": 1, "class_count": 2})
-            + "\n"
-            + json.dumps({"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0})
-            + "\n{not json\n"
-        )
-        with pytest.raises(FederationFormatError, match="line 3"):
-            load_federation(path)
+        # Python's json reads NaN and Infinity, which are not JSON numbers
+        for bad_line in (
+            "{not json",
+            json.dumps({"user_id": 1, "features": [float("nan")], "label": 1, "duration_s": 1.0}),
+            json.dumps({"user_id": 1, "features": [0.5], "label": 1, "duration_s": float("inf")}),
+        ):
+            path.write_text(
+                json.dumps({"feature_dim": 1, "class_count": 2})
+                + "\n"
+                + json.dumps({"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0})
+                + "\n"
+                + bad_line
+                + "\n"
+            )
+            with pytest.raises(FederationFormatError, match="line 3"):
+                load_federation(path)
 
     def test_unexpected_record_keys_rejected(self, tmp_path):
         path = tmp_path / "extra.jsonl"
@@ -202,9 +210,11 @@ class TestFederationFile:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "badheader.jsonl"
-        path.write_text(json.dumps({"feature_dim": 2}) + "\n")
-        with pytest.raises(FederationFormatError, match="line 1"):
-            load_federation(path)
+        record = json.dumps({"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0})
+        for header in ({"feature_dim": 2}, {"feature_dim": True, "class_count": 2}):
+            path.write_text(json.dumps(header) + "\n" + record + "\n")
+            with pytest.raises(FederationFormatError, match="line 1"):
+                load_federation(path)
 
 
 class TestPartitionStats:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,18 @@ def base_raw(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def fields_at_default(obj, prefix: str = "") -> list[str]:
+    """Dotted names of the (nested) dataclass fields still at their default."""
+    names = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            names += fields_at_default(value, f"{prefix}{f.name}.")
+        elif value == f.default:
+            names.append(prefix + f.name)
+    return names
 
 
 class TestConfigParsing:
@@ -92,6 +107,57 @@ class TestConfigParsing:
     def test_round_trip_through_dict(self):
         cfg = config_from_dict(base_raw())
         assert config_from_dict(cfg.to_dict()) == cfg
+
+        # every field away from its default, so a field the schema misses fails
+        synthesize = {
+            "user_count": 50,
+            "size_mean": 12.0,
+            "size_std": 3.0,
+            "positive_rate": 0.3,
+            "feature_dim": 4,
+            "class_count": 3,
+            "user_shift_scale": 0.5,
+            "negative_duration_s": 2.0,
+        }
+        rest = {
+            "split": {"train_frac": 0.5, "dev_frac": 0.3},
+            "model": {"layer_dims": [4, 7, 3], "activation": "tanh"},
+            "local": {"epochs": 3, "batch_size": 5, "eta_local": 0.2},
+            "strategy": {"kind": "plain", "eta_global": 0.7, "beta1": 0.8, "beta2": 0.99,
+                         "epsilon": 1e-6},
+            "participation": 0.3,
+            "max_rounds": 12,
+            "targets": {"fah_budget": 2.5, "recall_target": 0.6},
+            "master_seed": 11,
+            "output_dir": "runs/x",
+            "eval_every": 4,
+            "eval_mode": "pooled",
+            "baseline_mode": "central_sgd",
+        }
+        for federation, unused_source in (
+            ({"synthesize": synthesize}, "federation.load"),
+            ({"load": "users.ndjson"}, "federation.synthesize"),
+        ):
+            raw = {"federation": federation, **rest}
+            cfg = config_from_dict(raw)
+            assert fields_at_default(cfg) == [unused_source]
+            assert cfg.to_dict() == raw
+            assert config_from_dict(cfg.to_dict()) == cfg
+
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+            path.write_text(json.dumps(base_raw(targets={"fah_budget": value})))
+            with pytest.raises(ConfigError, match=r"targets\.fah_budget must be a finite number"):
+                load_config(path)
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+        configs = [b for b in blocks if "federation" in b]
+        assert configs
+        for raw in configs:
+            config_from_dict(raw)
 
     def test_load_config_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -305,14 +371,3 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(cfg, {"participation": []})
 
-
-class TestWorkerDeterminism:
-    def test_many_workers_reproduce_single_worker_run(self, tmp_path):
-        raw = base_raw(max_rounds=4, participation=0.5)
-        raw["local"] = {"epochs": 2, "batch_size": 4, "eta_local": 0.1}
-        outputs = []
-        for name, workers in (("w1", 1), ("w4", 4)):
-            cfg = config_from_dict(raw | {"workers": workers, "output_dir": str(tmp_path / name)})
-            run_experiment(cfg)
-            outputs.append((tmp_path / name / "metrics.csv").read_bytes())
-        assert outputs[0] == outputs[1]

@@ -314,24 +314,6 @@ class TestRunRound:
         assert record.pseudo_gradient_norm >= 0.0
         assert np.isfinite(record.train_loss_mean)
 
-    def test_worker_count_does_not_change_results(self):
-        federation, spec = small_setup(seed=6, users=12)
-        w0 = xavier_init(spec, 2)
-        results = []
-        for workers in (1, 4):
-            cfg = RoundConfig(
-                participation=0.5,
-                local=LocalTrainingConfig(epochs=2, batch_size=3, eta_local=0.03),
-                strategy=AveragingStrategy.plain(0.8),
-                model=spec,
-                workers=workers,
-            )
-            state = ServerState.initial(w0)
-            for t in range(3):
-                state, _ = run_round(state, federation, list(federation.user_ids), cfg, 100 + t)
-            results.append(state.weights)
-        assert np.array_equal(results[0], results[1])
-
     def test_dimension_mismatch_rejected(self):
         federation, spec = small_setup(seed=7)
         cfg = RoundConfig(
