@@ -22,7 +22,6 @@ from .errors import ConfigError, EvaluationError, FederationFormatError
 from .evaluation import (
     EvalTargets,
     OperatingPoint,
-    ScoredExample,
     early_stop_check,
     federated_eval,
     operating_point,
@@ -43,12 +42,11 @@ from .experiment import (
     sweep,
 )
 from .model import (
-    LabeledExample,
     ModelSpec,
     finite_difference_check,
     forward,
-    gradient,
-    loss,
+    gradient_from_arrays,
+    loss_from_arrays,
     xavier_init,
 )
 from .seeding import derive_seed

@@ -82,8 +82,8 @@ def train_local(
     Data is reshuffled once per epoch; the final partial batch is used as-is.
     w_start is never mutated.
     """
-    X, y = model.batch_arrays(spec, partition.examples)
-    n = X.shape[0]
+    X, y = partition.X, partition.y
+    n = len(y)
     w = np.array(w_start, dtype=np.float64, copy=True)
     if w.shape != (spec.param_count,):
         raise ValueError(f"weights have shape {w.shape}, expected ({spec.param_count},)")

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FederationFormatError
-from .model import LabeledExample
 
 # Class index counted as a detection by the evaluation pipeline.
 POSITIVE_LABEL = 1
@@ -25,67 +25,108 @@ POSITIVE_LABEL = 1
 CLASS_SEPARATION = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientPartition:
-    """One user's private labeled examples."""
+    """One user's private examples: views of that user's rows of a Federation."""
 
     user_id: int
-    examples: tuple[LabeledExample, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if len(self.examples) < 1:
-            raise ValueError(f"user {self.user_id}: partition must hold at least one example")
+    X: np.ndarray
+    y: np.ndarray
+    duration: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.examples)
+        return len(self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Federation:
-    """All user partitions plus the feature/class dimensions they share."""
+    """Every user's examples, stored column-wise.
 
-    partitions: tuple[ClientPartition, ...]
-    feature_dim: int
+    Row i is one example: features X[i], label y[i], duration[i] seconds.
+    User user_ids[k] owns rows offsets[k]:offsets[k + 1] (CSR offsets), so
+    each user's rows are contiguous; segments keep the order they were
+    generated or loaded in.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    duration: np.ndarray
+    user_ids: np.ndarray
+    offsets: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "partitions", tuple(self.partitions))
-        if not self.partitions:
+        for name, dtype in (("X", np.float64), ("y", np.intp), ("duration", np.float64),
+                            ("user_ids", np.intp), ("offsets", np.intp)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        X, y, duration, user_ids, offsets = self.X, self.y, self.duration, self.user_ids, self.offsets
+        if user_ids.ndim != 1 or len(user_ids) == 0:
             raise ValueError("federation needs at least one partition")
-        index: dict[int, ClientPartition] = {}
-        for part in self.partitions:
-            if part.user_id in index:
-                raise ValueError(f"duplicate user id {part.user_id}")
-            for ex in part.examples:
-                if ex.features.shape[0] != self.feature_dim:
-                    raise ValueError(
-                        f"user {part.user_id}: feature length {ex.features.shape[0]} "
-                        f"!= feature_dim {self.feature_dim}"
-                    )
-                if ex.label >= self.class_count:
-                    raise ValueError(f"user {part.user_id}: label {ex.label} out of range")
-            index[part.user_id] = part
-        object.__setattr__(self, "_by_user", index)
+        n = len(y)
+        if y.ndim != 1 or X.ndim != 2 or X.shape[0] != n or duration.shape != (n,):
+            raise ValueError(
+                f"features have shape {X.shape}, labels {y.shape} and durations {duration.shape}; "
+                "expected (N, feature_dim), (N,) and (N,)"
+            )
+        if offsets.shape != (len(user_ids) + 1,) or offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError(f"offsets must run from 0 to {n} with one entry per user plus one")
+        if np.any(np.diff(offsets) < 1):
+            uid = user_ids[np.argmax(np.diff(offsets) < 1)]
+            raise ValueError(f"user {uid}: partition must hold at least one example")
+        ordered = np.sort(user_ids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError(f"duplicate user id {ordered[1:][ordered[1:] == ordered[:-1]][0]}")
+        bad = (y < 0) | (y >= self.class_count) | ~(duration >= 0)
+        if np.any(bad):
+            row = np.argmax(bad)
+            uid = user_ids[np.searchsorted(offsets, row, side="right") - 1]
+            raise ValueError(f"user {uid}: label {y[row]} out of range or duration {duration[row]} negative")
+        object.__setattr__(self, "_segment", {int(u): k for k, u in enumerate(user_ids)})
+
+    def __eq__(self, other):
+        if not isinstance(other, Federation):
+            return NotImplemented
+        return self.class_count == other.class_count and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("user_ids", "offsets", "y", "duration", "X")
+        )
+
+    @property
+    def feature_dim(self) -> int:
+        return self.X.shape[1]
 
     @property
     def user_count(self) -> int:
-        return len(self.partitions)
+        return len(self.user_ids)
 
     @property
     def total_examples(self) -> int:
-        return sum(p.size for p in self.partitions)
+        return len(self.y)
 
-    @property
-    def user_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(p.user_id for p in self.partitions))
+    def segments(self, user_ids) -> np.ndarray:
+        """Segment index k of each given user id, in the order given."""
+        try:
+            return np.array([self._segment[u] for u in user_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"unknown user id {exc.args[0]}") from None
 
     def partition(self, user_id: int) -> ClientPartition:
-        try:
-            return self._by_user[user_id]
-        except KeyError:
-            raise ValueError(f"unknown user id {user_id}") from None
+        (k,) = self.segments([user_id])
+        rows = slice(self.offsets[k], self.offsets[k + 1])
+        return ClientPartition(user_id, self.X[rows], self.y[rows], self.duration[rows])
+
+    def sizes(self, user_ids) -> np.ndarray:
+        """Example count of each given user, in the order given."""
+        k = self.segments(user_ids)
+        return self.offsets[k + 1] - self.offsets[k]
+
+    def pool(self, user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, y, duration) of the given users' rows, concatenated in the order given."""
+        starts, sizes = self.offsets[self.segments(user_ids)], self.sizes(user_ids)
+        # pool row j of a user whose rows start at pool row p is federation row starts + j - p
+        rows = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return self.X[rows], self.y[rows], self.duration[rows]
 
 
 @dataclass(frozen=True)
@@ -144,15 +185,20 @@ def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:
     Each user carries a private feature offset of norm user_shift_scale added
     to every example, so user distributions differ while label semantics are
     shared. Positive examples get a uniform [1, 3] s duration; negatives get
-    the fixed configured duration.
+    the fixed configured duration. Random draws are made user by user, so a
+    user's data depends only on the users before it.
     """
     rng = np.random.default_rng(seed)
     sizes = _partition_sizes(spec, rng)
     means = _class_means(spec)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    X = np.empty((offsets[-1], spec.feature_dim))
+    y = np.empty(offsets[-1], dtype=np.intp)
+    duration = np.empty(offsets[-1])
+    negatives = [c for c in range(spec.class_count) if c != POSITIVE_LABEL]
 
-    partitions = []
-    for user_id in range(spec.user_count):
-        n_k = int(sizes[user_id])
+    for user_id, n_k in enumerate(sizes.tolist()):
+        rows = slice(offsets[user_id], offsets[user_id + 1])
         direction = rng.standard_normal(spec.feature_dim)
         norm = np.linalg.norm(direction)
         offset = spec.user_shift_scale * direction / norm if norm > 0 else np.zeros(spec.feature_dim)
@@ -160,21 +206,18 @@ def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:
         is_positive = rng.random(n_k) < spec.positive_rate
         labels = np.where(is_positive, POSITIVE_LABEL, 0)
         if spec.class_count > 2:
-            negatives = [c for c in range(spec.class_count) if c != POSITIVE_LABEL]
             labels = np.where(is_positive, POSITIVE_LABEL, rng.choice(negatives, size=n_k))
-        features = means[labels] + offset + rng.standard_normal((n_k, spec.feature_dim))
-        durations = np.where(
+        y[rows] = labels
+        X[rows] = means[labels] + offset + rng.standard_normal((n_k, spec.feature_dim))
+        duration[rows] = np.where(
             is_positive, rng.uniform(1.0, 3.0, size=n_k), spec.negative_duration_s
         )
-
-        examples = tuple(
-            LabeledExample(features=features[i], label=int(labels[i]), duration_s=float(durations[i]))
-            for i in range(n_k)
-        )
-        partitions.append(ClientPartition(user_id=user_id, examples=examples))
     return Federation(
-        partitions=tuple(partitions),
-        feature_dim=spec.feature_dim,
+        X=X,
+        y=y,
+        duration=duration,
+        user_ids=np.arange(spec.user_count),
+        offsets=offsets,
         class_count=spec.class_count,
     )
 
@@ -190,7 +233,7 @@ def split_users(
         raise ConfigError("split fractions must be nonnegative")
     if train_frac + dev_frac > 1.0 + 1e-12:
         raise ConfigError("train_frac + dev_frac must not exceed 1")
-    ids = np.array(federation.user_ids)
+    ids = np.sort(federation.user_ids)
     k = len(ids)
     n_train = min(k, int(np.floor(train_frac * k + 0.5)))
     n_dev = min(k - n_train, int(np.floor(dev_frac * k + 0.5)))
@@ -204,18 +247,14 @@ def split_users(
 def save_federation(federation: Federation, path: str | Path) -> None:
     """Write newline-delimited JSON: a header line, then one example per line."""
     path = Path(path)
+    owners = np.repeat(federation.user_ids, np.diff(federation.offsets)).tolist()
+    columns = zip(owners, federation.X.tolist(), federation.y.tolist(), federation.duration.tolist())
     with path.open("w", encoding="utf-8") as fh:
         header = {"feature_dim": federation.feature_dim, "class_count": federation.class_count}
         fh.write(json.dumps(header) + "\n")
-        for part in federation.partitions:
-            for ex in part.examples:
-                record = {
-                    "user_id": part.user_id,
-                    "features": ex.features.tolist(),
-                    "label": ex.label,
-                    "duration_s": ex.duration_s,
-                }
-                fh.write(json.dumps(record) + "\n")
+        for user_id, features, label, duration in columns:
+            record = {"user_id": user_id, "features": features, "label": label, "duration_s": duration}
+            fh.write(json.dumps(record) + "\n")
 
 
 _RECORD_KEYS = {"user_id", "features", "label", "duration_s"}
@@ -227,7 +266,8 @@ _RECORD_KEYS = {"user_id", "features", "label", "duration_s"}
 _FLOAT_MAX = sys.float_info.max
 
 
-def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) -> tuple[int, LabeledExample]:
+def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) -> tuple[int, list, int, float]:
+    """(user_id, features, label, duration_s) of one validated record line."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -252,10 +292,7 @@ def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) ->
         raise FederationFormatError("features must be finite numbers", line=line_no)
     if type(duration) not in (int, float) or not 0 <= duration <= _FLOAT_MAX:
         raise FederationFormatError("duration_s must be a finite nonnegative real", line=line_no)
-    example = LabeledExample(
-        features=np.array(features, dtype=np.float64), label=label, duration_s=float(duration)
-    )
-    return user_id, example
+    return user_id, features, label, duration
 
 
 def load_federation(path: str | Path) -> Federation:
@@ -284,40 +321,43 @@ def load_federation(path: str | Path) -> Federation:
     if type(class_count) is not int or class_count < 2:
         raise FederationFormatError("class_count must be an integer >= 2", line=1)
 
-    partitions: list[ClientPartition] = []
+    features = array("d")  # row-major, feature_dim values a record
+    labels: list[int] = []
+    durations: list[float] = []
+    user_ids: list[int] = []
+    offsets: list[int] = []
     seen: set[int] = set()
-    current_user: int | None = None
-    current_examples: list[LabeledExample] = []
-
-    def flush():
-        if current_user is not None:
-            partitions.append(ClientPartition(user_id=current_user, examples=tuple(current_examples)))
-
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        user_id, example = _parse_record(raw, line_no, feature_dim, class_count)
-        if user_id != current_user:
-            flush()
+        user_id, row, label, duration = _parse_record(raw, line_no, feature_dim, class_count)
+        if not user_ids or user_id != user_ids[-1]:
             if user_id in seen:
                 raise FederationFormatError(f"duplicate user id {user_id}", line=line_no)
             seen.add(user_id)
-            current_user = user_id
-            current_examples = []
-        current_examples.append(example)
-    flush()
+            user_ids.append(user_id)
+            offsets.append(len(labels))
+        features.extend(row)
+        labels.append(label)
+        durations.append(duration)
 
-    if not partitions:
+    if not labels:
         raise ConfigError(f"{path}: federation file holds no examples")
-    return Federation(partitions=tuple(partitions), feature_dim=feature_dim, class_count=class_count)
+    offsets.append(len(labels))
+    return Federation(
+        X=np.frombuffer(features, dtype=np.float64).reshape(len(labels), feature_dim),
+        y=np.array(labels, dtype=np.intp),
+        duration=np.array(durations, dtype=np.float64),
+        user_ids=np.array(user_ids, dtype=np.intp),
+        offsets=np.array(offsets, dtype=np.intp),
+        class_count=class_count,
+    )
 
 
 def partition_stats(federation: Federation) -> dict[str, float]:
     """Sample statistics over users; std is the population standard deviation."""
-    sizes = np.array([p.size for p in federation.partitions], dtype=np.float64)
-    positives = sum(
-        1 for p in federation.partitions for ex in p.examples if ex.label == POSITIVE_LABEL
-    )
+    sizes = np.diff(federation.offsets).astype(np.float64)
+    positives = int(np.count_nonzero(federation.y == POSITIVE_LABEL))
     total = federation.total_examples
     return {
         "size_mean": float(sizes.mean()),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,62 +46,57 @@ class OperatingPoint:
     feasible: bool = True
 
 
-class ScoredExample(NamedTuple):
-    score: float
-    label: int
-    duration_s: float
+def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Positive-class probability of every row of X, order preserved."""
+    return model.batch_probs(spec, w, X)[:, POSITIVE_LABEL]
 
 
-def score_examples(spec: ModelSpec, w: np.ndarray, examples) -> list[ScoredExample]:
-    """Positive-class probability per example, order preserved."""
-    X, _ = model.batch_arrays(spec, examples)
-    probs = model.batch_probs(spec, w, X)
-    return [
-        ScoredExample(score=float(probs[i, POSITIVE_LABEL]), label=ex.label, duration_s=ex.duration_s)
-        for i, ex in enumerate(examples)
-    ]
-
-
-def operating_point(scored: list[ScoredExample], targets: EvalTargets) -> OperatingPoint:
+def operating_point(
+    scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, targets: EvalTargets
+) -> OperatingPoint:
     """Threshold maximizing recall subject to FAH <= budget.
 
     Candidate thresholds are the observed scores plus a sentinel above all of
     them, so the search is finite and exact. Ties in recall break toward the
     larger threshold (fewer false alarms).
     """
-    pos_scores = [s.score for s in scored if s.label == POSITIVE_LABEL]
-    neg = [s for s in scored if s.label != POSITIVE_LABEL]
-    if not pos_scores or not neg:
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(labels) == POSITIVE_LABEL
+    pos_sorted = np.sort(scores[positive])
+    neg_sorted = np.sort(scores[~positive])
+    n_pos, n_neg = len(pos_sorted), len(neg_sorted)
+    if not n_pos or not n_neg:
         raise ValueError("operating point needs at least one positive and one negative example")
-    neg_hours = sum(s.duration_s for s in neg) / 3600.0
+    # summed left to right, as a reference loop over the examples would
+    neg_hours = sum(np.asarray(durations, dtype=np.float64)[~positive].tolist()) / 3600.0
     if neg_hours <= 0:
         raise ValueError("total negative duration must be positive")
 
-    pos_sorted = np.sort(pos_scores)
-    neg_sorted = np.sort([s.score for s in neg])
-    n_pos, n_neg = len(pos_sorted), len(neg_sorted)
-    candidates = sorted(set(s.score for s in scored))
-    candidates.append(TAU_ABOVE_ALL)
-
-    best: OperatingPoint | None = None
-    for tau in candidates:
-        hits = n_pos - int(np.searchsorted(pos_sorted, tau, side="left"))
-        false_alarms = n_neg - int(np.searchsorted(neg_sorted, tau, side="left"))
-        recall = hits / n_pos
-        fah = false_alarms / neg_hours
-        if fah > targets.fah_budget:
-            continue
-        if best is None or recall > best.recall or (recall == best.recall and tau > best.tau):
-            best = OperatingPoint(tau=tau, recall=recall, fah=fah)
-    if best is None:
+    candidates = np.append(np.unique(scores), TAU_ABOVE_ALL)
+    recall = (n_pos - np.searchsorted(pos_sorted, candidates, side="left")) / n_pos
+    fah = (n_neg - np.searchsorted(neg_sorted, candidates, side="left")) / neg_hours
+    feasible = np.flatnonzero(fah <= targets.fah_budget)
+    if not feasible.size:
         return OperatingPoint(tau=TAU_ABOVE_ALL, recall=0.0, fah=0.0, feasible=False)
-    return best
+    best = feasible[recall[feasible] == recall[feasible].max()][-1]
+    return OperatingPoint(tau=float(candidates[best]), recall=float(recall[best]), fah=float(fah[best]))
 
 
-def _usable(scored: list[ScoredExample]) -> bool:
-    has_pos = any(s.label == POSITIVE_LABEL for s in scored)
-    negs = [s for s in scored if s.label != POSITIVE_LABEL]
-    return has_pos and bool(negs) and sum(s.duration_s for s in negs) > 0
+def _usable(federation: Federation, user_ids) -> np.ndarray:
+    """Per given user: holds a positive and a negative of positive duration,
+    as operating_point needs. Column 0 is the former, column 1 the latter."""
+    y, starts = federation.y, federation.offsets[:-1]
+    has_pos = np.logical_or.reduceat(y == POSITIVE_LABEL, starts)
+    has_neg_time = np.logical_or.reduceat((y != POSITIVE_LABEL) & (federation.duration > 0), starts)
+    return np.stack([has_pos, has_neg_time], axis=1)[federation.segments(user_ids)]
+
+
+def can_evaluate(federation: Federation, user_ids, pooled: bool) -> bool:
+    """Whether pooled_eval (pooled) or federated_eval can produce a metric."""
+    usable = _usable(federation, user_ids)
+    if pooled:
+        return bool(usable.any(axis=0).all())
+    return bool(usable.all(axis=1).any())
 
 
 def federated_eval(
@@ -120,13 +114,14 @@ def federated_eval(
     acc = 0.0
     total_weight = 0
     skipped = []
-    for uid in sorted(eval_user_ids):
+    user_ids = sorted(eval_user_ids)
+    for uid, usable in zip(user_ids, _usable(federation, user_ids).all(axis=1)):
         part = federation.partition(uid)
-        scored = score_examples(spec, w, part.examples)
-        if not _usable(scored):
+        scores = score_examples(spec, w, part.X)
+        if not usable:
             skipped.append(uid)
             continue
-        point = operating_point(scored, targets)
+        point = operating_point(scores, part.y, part.duration, targets)
         acc += part.size * point.recall
         total_weight += part.size
     if skipped:
@@ -144,12 +139,11 @@ def pooled_eval(
     targets: EvalTargets,
 ) -> float:
     """Recall at a single operating point over all eval users' pooled examples."""
-    scored: list[ScoredExample] = []
-    for uid in sorted(eval_user_ids):
-        scored.extend(score_examples(spec, w, federation.partition(uid).examples))
-    if not scored or not _usable(scored):
+    user_ids = sorted(eval_user_ids)
+    if not can_evaluate(federation, user_ids, pooled=True):
         raise EvaluationError("pooled evaluation set lacks positives, negatives, or duration")
-    return operating_point(scored, targets).recall
+    X, y, duration = federation.pool(user_ids)
+    return operating_point(score_examples(spec, w, X), y, duration, targets).recall
 
 
 def early_stop_check(metric: float, targets: EvalTargets) -> bool:

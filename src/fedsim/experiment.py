@@ -13,6 +13,7 @@ import dataclasses
 import enum
 import itertools
 import json
+import logging
 import sys
 import time
 import types
@@ -31,8 +32,8 @@ from .data import (
     split_users,
     synthesize_federation,
 )
-from .errors import ConfigError
-from .evaluation import EvalTargets, early_stop_check, federated_eval, pooled_eval
+from .errors import ConfigError, EvaluationError
+from .evaluation import EvalTargets, can_evaluate, early_stop_check, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
 from .server import (
@@ -43,6 +44,8 @@ from .server import (
     run_round,
     upload_cost_bytes,
 )
+
+logger = logging.getLogger(__name__)
 
 # Default split: most users train, the rest divides evenly into dev and test.
 DEFAULT_TRAIN_FRAC = 1374 / 1774
@@ -244,6 +247,10 @@ def _evaluate(config: ExperimentConfig, w: np.ndarray, federation: Federation, u
     return federated_eval(config.model, w, federation, user_ids, config.targets)
 
 
+def _log_evaluation(rec: MetricsRecord) -> None:
+    logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
+
+
 def _prepare(config: ExperimentConfig):
     """Build the federation, user split, and initial weights; validate fit."""
     federation = config.federation.realize(derive_seed(config.master_seed, "federation"))
@@ -264,6 +271,13 @@ def _prepare(config: ExperimentConfig):
         raise ConfigError("user split produced an empty training pool")
     if not dev:
         raise ConfigError("user split produced an empty dev pool; cannot early-stop")
+    pooled = config.eval_mode is EvalMode.POOLED
+    for name, pool in (("dev", dev), ("test", test)):
+        if pool and not can_evaluate(federation, pool, pooled):
+            raise EvaluationError(
+                f"the {name} pool cannot produce a {config.eval_mode.value} metric: no "
+                f"{'pool' if pooled else 'user'} with a positive and a negative of positive duration"
+            )
     w0 = xavier_init(config.model, derive_seed(config.master_seed, "init"))
     return federation, train, dev, test, w0
 
@@ -316,10 +330,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         rounds_used = t
         total_local_steps += sum(
-            local_step_count(
-                federation.partition(uid).size, config.local.batch_size, config.local.epochs
-            )
-            for uid in record.selected_users
+            local_step_count(n_k, config.local.batch_size, config.local.epochs)
+            for n_k in federation.sizes(record.selected_users).tolist()
         )
         if t % config.eval_every == 0 or t == config.max_rounds:
             dev_metric = _evaluate(config, state.weights, federation, dev)
@@ -332,6 +344,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     wall_seconds=time.perf_counter() - t0,
                 )
             )
+            _log_evaluation(metrics[-1])
             if early_stop_check(dev_metric, config.targets):
                 rounds_to_target = t
                 break
@@ -362,11 +375,8 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
 
-    examples = []
-    for uid in train:
-        examples.extend(federation.partition(uid).examples)
-    X, y = model_ops.batch_arrays(config.model, examples)
-    n = X.shape[0]
+    X, y, _ = federation.pool(train)
+    n = len(y)
 
     state = ServerState.initial(w0)
     metrics: list[MetricsRecord] = []
@@ -391,6 +401,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
                     wall_seconds=time.perf_counter() - t0,
                 )
             )
+            _log_evaluation(metrics[-1])
             if early_stop_check(dev_metric, config.targets):
                 steps_to_target = step
                 break

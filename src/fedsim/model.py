@@ -49,33 +49,6 @@ class ModelSpec:
         return sum(fi * fo + fo for fi, fo in zip(self.layer_dims, self.layer_dims[1:]))
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledExample:
-    """One training/evaluation example; duration feeds false-alarm-rate accounting."""
-
-    features: np.ndarray
-    label: int
-    duration_s: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if self.label < 0:
-            raise ValueError("label must be a nonnegative class index")
-        if self.duration_s < 0:
-            raise ValueError("duration_s must be nonnegative")
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledExample):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.duration_s == other.duration_s
-            and np.array_equal(self.features, other.features)
-        )
-
-
 def _layer_views(spec: ModelSpec, w: np.ndarray):
     """Yield (W, b) views into the flat vector, one pair per layer."""
     offset = 0
@@ -92,19 +65,6 @@ def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     if w.ndim != 1 or w.shape[0] != spec.param_count:
         raise ValueError(f"parameter vector has length {w.shape}, expected ({spec.param_count},)")
     return w
-
-
-def batch_arrays(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a batch of LabeledExample into (X, y), validating dimensions."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    X = np.stack([ex.features for ex in batch]).astype(np.float64, copy=False)
-    y = np.array([ex.label for ex in batch], dtype=np.intp)
-    if X.shape[1] != spec.feature_dim:
-        raise ValueError(f"feature dim {X.shape[1]} does not match model input dim {spec.feature_dim}")
-    if y.max() >= spec.class_count:
-        raise ValueError(f"label {int(y.max())} out of range for {spec.class_count} classes")
-    return X, y
 
 
 def _activate(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
@@ -163,15 +123,10 @@ def xavier_init(spec: ModelSpec, seed: int) -> np.ndarray:
 
 def forward(spec: ModelSpec, w: np.ndarray, features) -> np.ndarray:
     """Class probability vector for a single feature vector."""
-    w = _check_params(spec, w)
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != spec.feature_dim:
         raise ValueError(f"features have shape {x.shape}, expected ({spec.feature_dim},)")
-    logits, _ = _forward_cached(spec, w, x[None, :])
-    probs = _softmax(logits)[0]
-    if not np.all(np.isfinite(probs)):
-        raise FloatingPointError("forward pass produced non-finite probabilities")
-    return probs
+    return batch_probs(spec, w, x[None, :])[0]
 
 
 def batch_probs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -185,19 +140,17 @@ def batch_probs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def loss_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of the batch (X, y) under the current parameters."""
+    if len(y) == 0:
+        raise ValueError("batch must be nonempty")
     w = _check_params(spec, w)
     logits, _ = _forward_cached(spec, w, X)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
 
 
-def loss(spec: ModelSpec, w: np.ndarray, batch) -> float:
-    """Mean cross-entropy of the batch under the current parameters."""
-    X, y = batch_arrays(spec, batch)
-    return loss_from_arrays(spec, w, X, y)
-
-
 def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Analytic gradient of `loss_from_arrays` with respect to every parameter coordinate."""
     w = _check_params(spec, w)
     n = X.shape[0]
     logits, caches = _forward_cached(spec, w, X)
@@ -222,13 +175,9 @@ def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.nd
     return grad
 
 
-def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
-    """Analytic gradient of `loss` with respect to every parameter coordinate."""
-    X, y = batch_arrays(spec, batch)
-    return gradient_from_arrays(spec, w, X, y)
-
-
-def finite_difference_check(spec: ModelSpec, w: np.ndarray, batch, h: float = 1e-5) -> float:
+def finite_difference_check(
+    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, h: float = 1e-5
+) -> float:
     """Max relative error between the analytic gradient and central differences.
 
     Per coordinate the relative error uses denominator max(|analytic|, |fd|, 1e-8),
@@ -237,7 +186,6 @@ def finite_difference_check(spec: ModelSpec, w: np.ndarray, batch, h: float = 1e
     if h <= 0:
         raise ValueError("step h must be positive")
     w = _check_params(spec, w)
-    X, y = batch_arrays(spec, batch)
     analytic = gradient_from_arrays(spec, w, X, y)
     worst = 0.0
     for j in range(w.shape[0]):

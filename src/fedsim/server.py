@@ -215,10 +215,17 @@ def run_round(
     # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
     update_rule = {AveragingKind.PLAIN: apply_plain, AveragingKind.ADAM: apply_adam}
     new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
+    grad_norm = float(np.linalg.norm(grad))
+    # finite weights can hide an overflowed pseudo-gradient: Adam's step is
+    # about zero once sqrt(v) is inf
+    if not (math.isfinite(grad_norm) and np.isfinite(new_state.m).all() and np.isfinite(new_state.v).all()):
+        raise FloatingPointError(
+            f"round {new_state.round}: diverged; pseudo-gradient norm or server moments not finite"
+        )
 
     n_r = sum(p.size for p in parts)
     train_loss = sum(
-        (p.size / n_r) * model.loss(cfg.model, w_prev, p.examples) for p in parts
+        (p.size / n_r) * model.loss_from_arrays(cfg.model, w_prev, p.X, p.y) for p in parts
     )
     upload_bytes = len(selected) * cfg.model.param_count * BYTES_PER_PARAM
     new_state = replace(
@@ -230,7 +237,7 @@ def run_round(
         round=new_state.round,
         selected_users=tuple(selected),
         n_r=n_r,
-        pseudo_gradient_norm=float(np.linalg.norm(grad)),
+        pseudo_gradient_norm=grad_norm,
         train_loss_mean=float(train_loss),
         upload_bytes=upload_bytes,
     )

@@ -20,13 +20,12 @@ from fedsim import (
     AveragingStrategy,
     ClientPartition,
     FederationSpec,
-    LabeledExample,
     LocalTrainingConfig,
     ModelSpec,
     ServerState,
     apply_adam,
     finite_difference_check,
-    gradient,
+    gradient_from_arrays,
     local_step_count,
     select_clients,
     synthesize_federation,
@@ -37,6 +36,7 @@ from fedsim import (
 from fedsim.experiment import config_from_dict, run_experiment
 from fedsim.server import RoundConfig, run_round
 
+from conftest import LabeledExample, stack
 from test_evaluation import brute_force_operating_point, scored_set
 from fedsim.evaluation import EvalTargets, operating_point
 
@@ -67,11 +67,11 @@ def test_gradient_correctness_randomized():
         spec = ModelSpec(dims)
         w = rng.standard_normal(spec.param_count) * 0.5
         n = int(rng.integers(1, 33))
-        batch = [
+        X, y, _ = stack([
             LabeledExample(rng.standard_normal(spec.feature_dim), int(rng.integers(0, spec.class_count)))
             for _ in range(n)
-        ]
-        assert finite_difference_check(spec, w, batch) < 1e-5
+        ])
+        assert finite_difference_check(spec, w, X, y) < 1e-5
     assert time.perf_counter() - start < 10.0
 
 
@@ -94,10 +94,9 @@ def test_fedsgd_pooled_gradient_equivalence():
     for t in range(20):
         w_prev = state.weights.copy()
         state, record = run_round(state, federation, list(federation.user_ids), cfg, 7000 + t)
-        pooled = [
-            ex for uid in record.selected_users for ex in federation.partition(uid).examples
-        ]
-        expected = w_prev - eta_local * gradient(spec, w_prev, pooled)
+        X = np.concatenate([federation.partition(uid).X for uid in record.selected_users])
+        y = np.concatenate([federation.partition(uid).y for uid in record.selected_users])
+        expected = w_prev - eta_local * gradient_from_arrays(spec, w_prev, X, y)
         assert np.max(np.abs(state.weights - expected)) < 1e-10
     assert time.perf_counter() - start < 10.0
 
@@ -246,8 +245,7 @@ def test_instrumented_gradient_count_matches_formula(n_k, batch, epochs):
         calls += 1
         return np.zeros_like(w_)
 
-    examples = tuple(LabeledExample(np.zeros(2), i % 2) for i in range(n_k))
-    partition = ClientPartition(user_id=1, examples=examples)
+    partition = ClientPartition(1, np.zeros((n_k, 2)), np.arange(n_k) % 2, np.zeros(n_k))
     cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.1)
 
     original = fedsim.model.gradient_from_arrays
@@ -265,8 +263,8 @@ def test_operating_point_equals_brute_force_everywhere():
     for _ in range(100):
         scored = scored_set(rng, int(rng.integers(2, 501)))
         targets = EvalTargets(fah_budget=float(rng.uniform(0.5, 4000.0)))
-        point = operating_point(scored, targets)
-        tau, recall, fah = brute_force_operating_point(scored, targets)
+        point = operating_point(*scored, targets)
+        tau, recall, fah = brute_force_operating_point(*scored, targets)
         assert point.tau == tau
         assert point.recall == recall
         assert point.fah == fah

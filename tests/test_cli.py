@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import re
 
 import pytest
 
@@ -79,6 +81,36 @@ def test_diverged_run_fails_with_diagnostic(config_file, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):
+    # client weights of order 1e200 stay finite, and Adam's step stays small
+    # once its second moment is inf, so only the round-level guard stops it
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text())
+    raw["local"]["eta_local"] = 1e200
+    raw["strategy"] = {"kind": "adam", "eta_global": 0.001}
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: round 1: diverged") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_verbose_logs_one_line_per_evaluation(config_file, caplog):
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text())
+    raw["eval_every"] = 3
+    raw["targets"]["recall_target"] = 1.0
+    path.write_text(json.dumps(raw))
+    with caplog.at_level(logging.INFO, logger="fedsim.experiment"):
+        assert main(["-v", "run", "--config", str(path)]) == 0
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "fedsim.experiment"]
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(rows) >= 2
+    for line, row in zip(lines, rows):
+        t, metric = row.split(",")[:2]
+        assert re.fullmatch(rf"round {t}: dev_metric={float(metric):.6f}, \d+\.\d{{3}} s elapsed", line)
 
 
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):

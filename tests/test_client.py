@@ -12,22 +12,21 @@ from fedsim import (
     FULL_BATCH,
     ClientPartition,
     ConfigError,
-    LabeledExample,
     LocalTrainingConfig,
     ModelSpec,
-    gradient,
+    gradient_from_arrays,
     local_step_count,
     train_local,
 )
 
-from conftest import gaussian_batch
+from conftest import LabeledExample, gaussian_batch, make_partition as partition_of
 
 SPEC = ModelSpec((3, 2))
 
 
 def make_partition(user_id: int, n: int, seed: int = 0) -> ClientPartition:
     rng = np.random.default_rng(seed)
-    return ClientPartition(user_id=user_id, examples=tuple(gaussian_batch(rng, SPEC, n)))
+    return ClientPartition(user_id, *gaussian_batch(rng, SPEC, n))
 
 
 class TestLocalStepCount:
@@ -68,13 +67,13 @@ class TestTrainLocal:
         w0 = np.random.default_rng(2).standard_normal(SPEC.param_count)
         cfg = LocalTrainingConfig(epochs=1, batch_size=FULL_BATCH, eta_local=0.05)
         update = train_local(w0, part, cfg, SPEC, round_seed=3)
-        expected = w0 - 0.05 * gradient(SPEC, w0, list(part.examples))
+        expected = w0 - 0.05 * gradient_from_arrays(SPEC, w0, part.X, part.y)
         assert np.array_equal(update.weights, expected)
 
     def test_affine_in_eta_for_single_step(self):
         part = make_partition(2, 9)
         w0 = np.random.default_rng(2).standard_normal(SPEC.param_count)
-        g = gradient(SPEC, w0, list(part.examples))
+        g = gradient_from_arrays(SPEC, w0, part.X, part.y)
         for eta in (0.01, 0.04, 0.5):
             cfg = LocalTrainingConfig(epochs=1, batch_size=FULL_BATCH, eta_local=eta)
             update = train_local(w0, part, cfg, SPEC, round_seed=3)
@@ -137,10 +136,9 @@ class TestTrainLocal:
             return np.zeros_like(w)
 
         monkeypatch.setattr(fedsim.model, "gradient_from_arrays", recording)
-        examples = tuple(
+        part = partition_of(3, [
             LabeledExample(np.array([float(i), 0.0, 0.0]), i % 2) for i in range(11)
-        )
-        part = ClientPartition(user_id=3, examples=examples)
+        ])
         cfg = LocalTrainingConfig(epochs=3, batch_size=4, eta_local=0.1)
 
         epochs_marker = [0]

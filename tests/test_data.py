@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from fedsim import (
-    ClientPartition,
     ConfigError,
     Federation,
     FederationFormatError,
     FederationSpec,
-    LabeledExample,
     POSITIVE_LABEL,
     load_federation,
     partition_stats,
@@ -20,17 +18,15 @@ from fedsim import (
     synthesize_federation,
 )
 
+from conftest import LabeledExample, make_federation
+
 
 def example(value: float = 0.0, label: int = 0, duration: float = 2.0, dim: int = 2) -> LabeledExample:
     return LabeledExample(features=np.full(dim, value), label=label, duration_s=duration)
 
 
 def tiny_federation() -> Federation:
-    parts = (
-        ClientPartition(1, (example(0.1, 0), example(0.2, 1))),
-        ClientPartition(2, (example(0.3, 1),)),
-    )
-    return Federation(partitions=parts, feature_dim=2, class_count=2)
+    return make_federation({1: [example(0.1, 0), example(0.2, 1)], 2: [example(0.3, 1)]})
 
 
 class TestSynthesize:
@@ -50,7 +46,7 @@ class TestSynthesize:
         spec = FederationSpec(user_count=1, size_mean=39.0, size_std=0.0)
         fed = synthesize_federation(spec, seed=3)
         assert fed.user_count == 1
-        assert fed.partitions[0].size == 39
+        assert fed.partition(0).size == 39
 
     def test_deterministic_and_seed_sensitive(self):
         spec = FederationSpec(user_count=12, size_mean=5.0, size_std=3.0, feature_dim=3)
@@ -63,7 +59,7 @@ class TestSynthesize:
     def test_sizes_clamped_and_total_consistent(self):
         spec = FederationSpec(user_count=60, size_mean=2.0, size_std=6.0, feature_dim=2)
         fed = synthesize_federation(spec, seed=9)
-        sizes = [p.size for p in fed.partitions]
+        sizes = [fed.partition(u).size for u in fed.user_ids]
         assert min(sizes) >= 1
         assert sum(sizes) == fed.total_examples
 
@@ -72,12 +68,11 @@ class TestSynthesize:
             user_count=8, size_mean=20.0, size_std=5.0, feature_dim=2, negative_duration_s=7.5
         )
         fed = synthesize_federation(spec, seed=4)
-        for part in fed.partitions:
-            for ex in part.examples:
-                if ex.label == POSITIVE_LABEL:
-                    assert 1.0 <= ex.duration_s <= 3.0
-                else:
-                    assert ex.duration_s == 7.5
+        for label, duration in zip(fed.y, fed.duration):
+            if label == POSITIVE_LABEL:
+                assert 1.0 <= duration <= 3.0
+            else:
+                assert duration == 7.5
 
     def test_user_offsets_shift_feature_means(self):
         # users share labels but sit at different spots in feature space
@@ -85,7 +80,7 @@ class TestSynthesize:
             user_count=6, size_mean=200.0, size_std=0.0, feature_dim=4, user_shift_scale=5.0
         )
         fed = synthesize_federation(spec, seed=11)
-        means = [np.mean([ex.features for ex in p.examples], axis=0) for p in fed.partitions]
+        means = [np.mean(fed.partition(u).X, axis=0) for u in fed.user_ids]
         spread = np.std(np.stack(means), axis=0).max()
         assert spread > 1.0
 
@@ -219,44 +214,43 @@ class TestFederationFile:
 
 class TestPartitionStats:
     def test_hand_arithmetic(self):
-        parts = (
-            ClientPartition(0, tuple(example(0.0, 0) for _ in range(10))),
-            ClientPartition(1, tuple(example(0.0, 0) for _ in range(30))),
-        )
-        fed = Federation(partitions=parts, feature_dim=2, class_count=2)
+        fed = make_federation({0: [example(0.0, 0)] * 10, 1: [example(0.0, 0)] * 30})
         stats = partition_stats(fed)
         assert stats["size_mean"] == 20.0
         assert stats["size_std"] == 10.0
         assert stats["total_examples"] == 40
 
     def test_all_positive(self):
-        parts = (ClientPartition(0, (example(0.0, 1), example(1.0, 1))),)
-        fed = Federation(partitions=parts, feature_dim=2, class_count=2)
+        fed = make_federation({0: [example(0.0, 1), example(1.0, 1)]})
         assert partition_stats(fed)["positive_rate"] == 1.0
 
 
 class TestInvariants:
     def test_duplicate_user_ids_rejected_at_construction(self):
-        parts = (
-            ClientPartition(1, (example(),)),
-            ClientPartition(1, (example(),)),
-        )
+        fed = make_federation({1: [example()], 2: [example()]})
         with pytest.raises(ValueError, match="duplicate"):
-            Federation(partitions=parts, feature_dim=2, class_count=2)
+            Federation(fed.X, fed.y, fed.duration, [1, 1], fed.offsets, class_count=2)
 
     def test_empty_partition_rejected(self):
-        with pytest.raises(ValueError):
-            ClientPartition(1, ())
+        fed = make_federation({1: [example()], 2: [example()]})
+        with pytest.raises(ValueError, match="user 3: partition must hold at least one example"):
+            Federation(fed.X, fed.y, fed.duration, [1, 2, 3], [0, 1, 2, 2], class_count=2)
 
     def test_feature_dim_mismatch_rejected(self):
-        parts = (ClientPartition(1, (example(dim=3),)),)
-        with pytest.raises(ValueError, match="feature length"):
-            Federation(partitions=parts, feature_dim=2, class_count=2)
+        # the feature matrix needs one row of feature_dim values per label
+        fed = make_federation({1: [example(dim=3), example(dim=3)]})
+        for X in (fed.X[:1], fed.X.ravel()):
+            with pytest.raises(ValueError, match="features have shape"):
+                Federation(X, fed.y, fed.duration, fed.user_ids, fed.offsets, class_count=2)
 
     def test_label_out_of_range_rejected(self):
-        parts = (ClientPartition(1, (example(label=5),)),)
-        with pytest.raises(ValueError, match="label"):
-            Federation(partitions=parts, feature_dim=2, class_count=2)
+        for label in (5, -1):
+            with pytest.raises(ValueError, match=f"user 1: label {label} out of range"):
+                make_federation({1: [example(label=label)]})
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="user 2: .* duration -1.0 negative"):
+            make_federation({1: [example()], 2: [example(), example(duration=-1.0)]})
 
     def test_partition_lookup(self):
         fed = tiny_federation()

@@ -7,35 +7,35 @@ import numpy as np
 import pytest
 
 from fedsim import (
-    ClientPartition,
     ConfigError,
     EvalTargets,
     EvaluationError,
-    Federation,
-    LabeledExample,
     ModelSpec,
     OperatingPoint,
     POSITIVE_LABEL,
-    ScoredExample,
     early_stop_check,
     federated_eval,
+    forward,
     operating_point,
     pooled_eval,
     score_examples,
 )
 
+from conftest import LabeledExample, make_federation
 
-def brute_force_operating_point(scored, targets):
+
+def brute_force_operating_point(scores, labels, durations, targets):
     """Exhaustive reference: evaluate every candidate threshold by direct counting."""
-    pos = [s for s in scored if s.label == POSITIVE_LABEL]
-    neg = [s for s in scored if s.label != POSITIVE_LABEL]
-    neg_hours = sum(s.duration_s for s in neg) / 3600.0
-    candidates = sorted(set(s.score for s in scored))
+    scored = list(zip(scores.tolist(), labels.tolist(), durations.tolist()))
+    pos = [s for s, label, _ in scored if label == POSITIVE_LABEL]
+    neg = [(s, d) for s, label, d in scored if label != POSITIVE_LABEL]
+    neg_hours = sum(d for _, d in neg) / 3600.0
+    candidates = sorted(set(s for s, _, _ in scored))
     candidates.append(math.nextafter(1.0, 2.0))
     best = None
     for tau in candidates:
-        hits = sum(1 for s in pos if s.score >= tau)
-        false_alarms = sum(1 for s in neg if s.score >= tau)
+        hits = sum(1 for s in pos if s >= tau)
+        false_alarms = sum(1 for s, _ in neg if s >= tau)
         recall = hits / len(pos)
         fah = false_alarms / neg_hours
         if fah > targets.fah_budget:
@@ -45,55 +45,55 @@ def brute_force_operating_point(scored, targets):
     return best
 
 
+def scored(examples):
+    """(scores, labels, durations) arrays of (score, label, duration) triples."""
+    scores, labels, durations = zip(*examples)
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.intp), np.array(durations)
+
+
 def scored_set(rng, n, duration_low=0.5, duration_high=5.0):
     out = []
     for _ in range(n):
         out.append(
-            ScoredExample(
-                score=float(rng.random()),
-                label=int(rng.integers(0, 2)),
-                duration_s=float(rng.uniform(duration_low, duration_high)),
-            )
+            (float(rng.random()), int(rng.integers(0, 2)), float(rng.uniform(duration_low, duration_high)))
         )
     # ensure both classes exist
-    out.append(ScoredExample(score=float(rng.random()), label=1, duration_s=1.0))
-    out.append(ScoredExample(score=float(rng.random()), label=0, duration_s=1.0))
-    return out
+    out.append((float(rng.random()), 1, 1.0))
+    out.append((float(rng.random()), 0, 1.0))
+    return scored(out)
 
 
 class TestScoreExamples:
     def test_zero_weights_all_half(self):
         spec = ModelSpec((3, 2))
-        examples = [LabeledExample(np.ones(3) * i, i % 2, 1.0) for i in range(5)]
-        scored = score_examples(spec, np.zeros(spec.param_count), examples)
-        assert [s.score for s in scored] == [0.5] * 5
-        assert [s.label for s in scored] == [ex.label for ex in examples]
+        X = np.stack([np.ones(3) * i for i in range(5)])
+        scores = score_examples(spec, np.zeros(spec.param_count), X)
+        assert scores.tolist() == [0.5] * 5
 
     def test_scores_in_unit_interval(self, rng):
         spec = ModelSpec((4, 5, 2))
         w = rng.standard_normal(spec.param_count)
-        examples = [LabeledExample(rng.standard_normal(4), 0, 1.0) for _ in range(20)]
-        scored = score_examples(spec, w, examples)
-        assert all(0.0 <= s.score <= 1.0 for s in scored)
+        X = np.stack([rng.standard_normal(4) for _ in range(20)])
+        scores = score_examples(spec, w, X)
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_perturbing_one_example_moves_only_its_score(self):
         # positive logit tracks the first feature for this weight layout
         spec = ModelSpec((2, 2))
         w = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        examples = [LabeledExample(np.array([x, 0.0]), 0, 1.0) for x in (-1.0, 0.0, 1.0)]
-        before = score_examples(spec, w, examples)
-        bumped = list(examples)
-        bumped[1] = LabeledExample(np.array([2.0, 0.0]), 0, 1.0)
+        X = np.array([[x, 0.0] for x in (-1.0, 0.0, 1.0)])
+        before = score_examples(spec, w, X)
+        bumped = X.copy()
+        bumped[1] = [2.0, 0.0]
         after = score_examples(spec, w, bumped)
-        assert after[1].score > before[1].score
-        assert after[0].score == before[0].score
-        assert after[2].score == before[2].score
+        assert after[1] > before[1]
+        assert after[0] == before[0]
+        assert after[2] == before[2]
 
 
 class TestOperatingPoint:
     def test_perfectly_separated(self):
-        scored = [ScoredExample(0.9, 1, 2.0)] * 4 + [ScoredExample(0.1, 0, 2.0)] * 6
-        point = operating_point(scored, EvalTargets(fah_budget=5.0))
+        point = operating_point(*scored([(0.9, 1, 2.0)] * 4 + [(0.1, 0, 2.0)] * 6), EvalTargets(fah_budget=5.0))
         assert point.recall == 1.0
         assert point.fah == 0.0
         assert 0.1 < point.tau <= 0.9
@@ -103,39 +103,38 @@ class TestOperatingPoint:
         # 3 negatives of 1200 s: even the lowest threshold stays within 5 FAH,
         # so the recall-optimal candidate wins
         rng = np.random.default_rng(5)
-        scored = [ScoredExample(float(rng.random()), 1, 2.0) for _ in range(10)]
-        scored += [ScoredExample(float(rng.random()), 0, 1200.0) for _ in range(3)]
+        examples = [(float(rng.random()), 1, 2.0) for _ in range(10)]
+        examples += [(float(rng.random()), 0, 1200.0) for _ in range(3)]
         targets = EvalTargets(fah_budget=5.0)
-        point = operating_point(scored, targets)
+        point = operating_point(*scored(examples), targets)
         assert point.recall == 1.0
-        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(scored, targets)
+        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(*scored(examples), targets)
 
     @pytest.mark.parametrize("budget,expected_recall", [(5000.0, 1.0), (1.0, 0.0)])
     def test_all_scores_identical(self, budget, expected_recall):
         # 3 negatives over 3 s = 3600 FAH when everything triggers
-        scored = [ScoredExample(0.5, 1, 1.0)] * 3 + [ScoredExample(0.5, 0, 1.0)] * 3
+        examples = scored([(0.5, 1, 1.0)] * 3 + [(0.5, 0, 1.0)] * 3)
         targets = EvalTargets(fah_budget=budget)
-        point = operating_point(scored, targets)
+        point = operating_point(*examples, targets)
         assert point.recall == expected_recall
-        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(scored, targets)
+        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(*examples, targets)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
-            scored = scored_set(rng, int(rng.integers(2, 120)))
+            examples = scored_set(rng, int(rng.integers(2, 120)))
             targets = EvalTargets(fah_budget=float(rng.uniform(1.0, 2000.0)))
-            point = operating_point(scored, targets)
-            expected = brute_force_operating_point(scored, targets)
+            point = operating_point(*examples, targets)
+            expected = brute_force_operating_point(*examples, targets)
             assert (point.tau, point.recall, point.fah) == expected
 
     def test_curve_monotone_in_threshold(self):
         rng = np.random.default_rng(31)
-        scored = scored_set(rng, 60)
-        pos = sorted(s.score for s in scored if s.label == POSITIVE_LABEL)
-        neg = [s for s in scored if s.label != POSITIVE_LABEL]
-        neg_scores = sorted(s.score for s in neg)
-        hours = sum(s.duration_s for s in neg) / 3600.0
-        candidates = sorted(set(s.score for s in scored)) + [math.nextafter(1.0, 2.0)]
+        scores, labels, durations = scored_set(rng, 60)
+        pos = sorted(scores[labels == POSITIVE_LABEL])
+        neg_scores = sorted(scores[labels != POSITIVE_LABEL])
+        hours = sum(durations[labels != POSITIVE_LABEL].tolist()) / 3600.0
+        candidates = sorted(set(scores.tolist())) + [math.nextafter(1.0, 2.0)]
         last_recall, last_fah = 2.0, float("inf")
         for tau in candidates:
             recall = (len(pos) - np.searchsorted(pos, tau, side="left")) / len(pos)
@@ -146,28 +145,26 @@ class TestOperatingPoint:
 
     def test_duration_scaling_inverts_fah(self):
         rng = np.random.default_rng(41)
-        scored = scored_set(rng, 50)
+        scores, labels, durations = scored_set(rng, 50)
         targets = EvalTargets(fah_budget=64.0)
-        point = operating_point(scored, targets)
-        doubled = [ScoredExample(s.score, s.label, 2.0 * s.duration_s) for s in scored]
-        half_budget = operating_point(doubled, EvalTargets(fah_budget=32.0))
+        point = operating_point(scores, labels, durations, targets)
+        half_budget = operating_point(scores, labels, 2.0 * durations, EvalTargets(fah_budget=32.0))
         assert half_budget.tau == point.tau
         assert half_budget.recall == point.recall
         assert half_budget.fah == point.fah / 2.0
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            operating_point([ScoredExample(0.5, 1, 1.0)], EvalTargets())
+            operating_point(*scored([(0.5, 1, 1.0)]), EvalTargets())
         with pytest.raises(ValueError):
-            operating_point([ScoredExample(0.5, 0, 1.0)], EvalTargets())
+            operating_point(*scored([(0.5, 0, 1.0)]), EvalTargets())
 
     def test_zero_negative_duration_rejected(self):
-        scored = [ScoredExample(0.9, 1, 1.0), ScoredExample(0.1, 0, 0.0)]
         with pytest.raises(ValueError):
-            operating_point(scored, EvalTargets())
+            operating_point(*scored([(0.9, 1, 1.0), (0.1, 0, 0.0)]), EvalTargets())
 
 
-def two_user_federation():
+def two_user_partitions():
     """User 1 is perfectly separable (recall 1); user 2 has one stray positive
     below every threshold that stays within budget (recall 0.5)."""
     high = np.array([1.0])
@@ -177,9 +174,14 @@ def two_user_federation():
         # negatives get tiny durations so any threshold admitting them blows the budget
         return LabeledExample(x, label, duration_s=2.0 if label == 1 else 0.36)
 
-    user1 = ClientPartition(1, tuple([ex(high, 1)] * 3 + [ex(low, 0)] * 7))
-    user2 = ClientPartition(2, tuple([ex(high, 1), ex(low, 1)] + [ex(low, 0)] * 28))
-    return Federation(partitions=(user1, user2), feature_dim=1, class_count=2)
+    return {
+        1: [ex(high, 1)] * 3 + [ex(low, 0)] * 7,
+        2: [ex(high, 1), ex(low, 1)] + [ex(low, 0)] * 28,
+    }
+
+
+def two_user_federation():
+    return make_federation(two_user_partitions())
 
 
 SPEC_1D = ModelSpec((1, 2))
@@ -189,8 +191,9 @@ W_1D = np.array([-1.0, 1.0, 0.0, 0.0])  # positive logit = x, negative logit = -
 class TestFederatedEval:
     def test_single_user_equals_operating_point(self):
         fed = two_user_federation()
-        scored = score_examples(SPEC_1D, W_1D, fed.partition(1).examples)
-        expected = operating_point(scored, EvalTargets()).recall
+        part = fed.partition(1)
+        scores = score_examples(SPEC_1D, W_1D, part.X)
+        expected = operating_point(scores, part.y, part.duration, EvalTargets()).recall
         assert federated_eval(SPEC_1D, W_1D, fed, [1], EvalTargets()) == expected == 1.0
 
     def test_hand_weighted_combination(self):
@@ -206,9 +209,8 @@ class TestFederatedEval:
         assert a == b
 
     def test_skips_users_without_both_classes(self, caplog):
-        fed = two_user_federation()
-        only_neg = ClientPartition(3, tuple(LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)))
-        fed = Federation(partitions=fed.partitions + (only_neg,), feature_dim=1, class_count=2)
+        only_neg = [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]
+        fed = make_federation({**two_user_partitions(), 3: only_neg})
         with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
             metric = federated_eval(SPEC_1D, W_1D, fed, [1, 2, 3], EvalTargets())
         # user 3 is excluded from the normalizer: same result as [1, 2]
@@ -216,8 +218,7 @@ class TestFederatedEval:
         assert any("skipped" in rec.message for rec in caplog.records)
 
     def test_all_users_skipped_raises(self):
-        only_neg = ClientPartition(1, tuple(LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)))
-        fed = Federation(partitions=(only_neg,), feature_dim=1, class_count=2)
+        fed = make_federation({1: [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]})
         with pytest.raises(EvaluationError):
             federated_eval(SPEC_1D, W_1D, fed, [1], EvalTargets())
 
@@ -230,16 +231,66 @@ class TestFederatedEval:
 class TestPooledEval:
     def test_matches_manual_pooling(self):
         fed = two_user_federation()
-        pooled_examples = [ex for uid in (1, 2) for ex in fed.partition(uid).examples]
-        scored = score_examples(SPEC_1D, W_1D, pooled_examples)
-        expected = operating_point(scored, EvalTargets()).recall
+        parts = [fed.partition(uid) for uid in (1, 2)]
+        X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
+        expected = operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, EvalTargets()).recall
         assert pooled_eval(SPEC_1D, W_1D, fed, [1, 2], EvalTargets()) == expected
 
     def test_unusable_pool_raises(self):
-        only_neg = ClientPartition(1, tuple(LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(2)))
-        fed = Federation(partitions=(only_neg,), feature_dim=1, class_count=2)
+        fed = make_federation({1: [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(2)]})
         with pytest.raises(EvaluationError):
             pooled_eval(SPEC_1D, W_1D, fed, [1], EvalTargets())
+
+
+class TestSegments:
+    """The evaluations against a reference that scores row by row with
+    `forward` and searches each user's (or the pool's) threshold by brute
+    force: every score must land in its own user's segment."""
+
+    @staticmethod
+    def random_users(rng):
+        # user ids out of order in the rows, some users without a positive,
+        # one negative of zero duration per user
+        users = {}
+        for uid in rng.permutation(40).tolist():
+            n = int(rng.integers(1, 16))
+            users[uid] = [
+                LabeledExample(rng.standard_normal(4), int(rng.random() < 0.3), float(rng.uniform(0.5, 30.0)) if i else 0.0)
+                for i in range(n)
+            ]
+        return users
+
+    @staticmethod
+    def reference(spec, w, examples, targets):
+        scores = np.array([forward(spec, w, ex.features)[POSITIVE_LABEL] for ex in examples])
+        labels = np.array([ex.label for ex in examples])
+        durations = np.array([ex.duration_s for ex in examples])
+        negative = labels != POSITIVE_LABEL
+        if labels.all() or negative.all() or not np.any(durations[negative] > 0):
+            return None
+        return brute_force_operating_point(scores, labels, durations, targets)[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evals_match_per_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec((4, 6, 2), activation="tanh")
+        users = self.random_users(rng)
+        federation = make_federation(users)
+        w = rng.standard_normal(spec.param_count)
+        eval_ids = rng.choice(40, size=25, replace=False).tolist()
+        targets = EvalTargets(fah_budget=float(rng.uniform(50.0, 500.0)))
+
+        acc, total = 0.0, 0
+        for uid in sorted(eval_ids):
+            recall = self.reference(spec, w, users[uid], targets)
+            if recall is not None:
+                acc += len(users[uid]) * recall
+                total += len(users[uid])
+        assert total > 0
+        assert federated_eval(spec, w, federation, eval_ids, targets) == acc / total
+
+        pooled = [ex for uid in sorted(eval_ids) for ex in users[uid]]
+        assert pooled_eval(spec, w, federation, eval_ids, targets) == self.reference(spec, w, pooled, targets)
 
 
 class TestEarlyStop:

@@ -2,13 +2,26 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedsim import ConfigError, upload_cost_bytes
+import fedsim.experiment
+from fedsim import (
+    ConfigError,
+    EvaluationError,
+    Federation,
+    FederationSpec,
+    derive_seed,
+    save_federation,
+    split_users,
+    synthesize_federation,
+    upload_cost_bytes,
+)
 from fedsim import model as model_ops
 from fedsim.evaluation import pooled_eval
 from fedsim.experiment import (
@@ -195,11 +208,12 @@ class TestRunExperiment:
         assert result.report["rounds_to_target"] is not None
 
         federation, train, dev, test, w0 = _prepare(cfg)
-        pooled = [ex for uid in train for ex in federation.partition(uid).examples]
+        X = np.concatenate([federation.partition(uid).X for uid in train])
+        y = np.concatenate([federation.partition(uid).y for uid in train])
         w = w0.copy()
         oracle_steps = None
         for t in range(1, cfg.max_rounds + 1):
-            w = w - cfg.local.eta_local * model_ops.gradient(cfg.model, w, pooled)
+            w = w - cfg.local.eta_local * model_ops.gradient_from_arrays(cfg.model, w, X, y)
             if pooled_eval(cfg.model, w, federation, dev, cfg.targets) >= cfg.targets.recall_target:
                 oracle_steps = t
                 break
@@ -371,3 +385,95 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(cfg, {"participation": []})
 
+
+
+def base_federation() -> Federation:
+    """The federation base_raw synthesizes, as a Federation object."""
+    return synthesize_federation(FederationSpec(**base_raw()["federation"]["synthesize"]), seed=3)
+
+
+class TestPoolsCheckedBeforeRoundOne:
+    @staticmethod
+    def write_without_positives(federation: Federation, user_ids, path: Path) -> None:
+        y = federation.y.copy()
+        for uid in user_ids:
+            k = federation.segments([uid])[0]
+            y[federation.offsets[k] : federation.offsets[k + 1]] = 0
+        save_federation(
+            Federation(federation.X, y, federation.duration, federation.user_ids, federation.offsets, 2),
+            path,
+        )
+
+    @staticmethod
+    def forbid_training(monkeypatch):
+        def trained(*args, **kwargs):
+            raise AssertionError("a round ran before the pools were checked")
+
+        monkeypatch.setattr(fedsim.experiment, "run_round", trained)
+        monkeypatch.setattr(model_ops, "gradient_from_arrays", trained)
+
+    @pytest.mark.parametrize("pool", ["dev", "test"])
+    @pytest.mark.parametrize("eval_mode", ["pooled", "federated"])
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_unusable_pool_fails_before_round_one(self, tmp_path, monkeypatch, pool, eval_mode, baseline):
+        federation = base_federation()
+        raw = base_raw(federation={"load": str(tmp_path / "users.jsonl")}, eval_mode=eval_mode)
+        if baseline:
+            raw["baseline_mode"] = "central_sgd"
+        _, dev, test = split_users(federation, 0.6, 0.25, derive_seed(raw["master_seed"], "split"))
+        assert dev and test
+        self.write_without_positives(federation, dev if pool == "dev" else test, tmp_path / "users.jsonl")
+        self.forbid_training(monkeypatch)
+        with pytest.raises(EvaluationError, match=f"the {pool} pool cannot produce a {eval_mode} metric"):
+            (run_baseline if baseline else run_experiment)(config_from_dict(raw))
+
+    def test_federated_pool_needs_only_one_usable_user(self, tmp_path):
+        federation = base_federation()
+        raw = base_raw(
+            federation={"load": str(tmp_path / "users.jsonl")}, eval_mode="federated", max_rounds=1
+        )
+        _, dev, test = split_users(federation, 0.6, 0.25, derive_seed(raw["master_seed"], "split"))
+        # keep one user of each pool with both classes
+        keep = [
+            next(u for u in pool if 0 < federation.partition(u).y.sum() < federation.partition(u).size)
+            for pool in (dev, test)
+        ]
+        self.write_without_positives(
+            federation, [u for u in dev + test if u not in keep], tmp_path / "users.jsonl"
+        )
+        assert len(run_experiment(config_from_dict(raw)).metrics) == 1
+
+
+class TestUserOrderInvariance:
+    @pytest.mark.parametrize("eval_mode", ["pooled", "federated"])
+    def test_reordering_users_in_file_changes_nothing(self, tmp_path, monkeypatch, eval_mode):
+        original, shuffled = tmp_path / "original", tmp_path / "shuffled"
+        original.mkdir()
+        shuffled.mkdir()
+        save_federation(base_federation(), original / "users.jsonl")
+        header, *records = (original / "users.jsonl").read_text().splitlines()
+        blocks = [list(run) for _, run in itertools.groupby(records, lambda r: json.loads(r)["user_id"])]
+        order = np.random.default_rng(5).permutation(len(blocks))
+        reordered = [header] + [record for i in order for record in blocks[i]]
+        (shuffled / "users.jsonl").write_text("\n".join(reordered) + "\n")
+        assert sorted(reordered) == sorted([header] + records) and reordered != [header] + records
+
+        raw = base_raw(
+            federation={"load": "users.jsonl"},
+            output_dir="out",
+            eval_mode=eval_mode,
+            participation=0.5,
+            max_rounds=8,
+            local={"epochs": 2, "batch_size": 4, "eta_local": 0.3},
+            strategy={"kind": "adam", "eta_global": 0.01},
+            targets={"fah_budget": 300.0, "recall_target": 1.0},
+        )
+        for run, extra in ((run_experiment, {}), (run_baseline, {"baseline_mode": "central_adam"})):
+            outputs = []
+            for directory in (original, shuffled):
+                monkeypatch.chdir(directory)
+                run(config_from_dict({**raw, **extra}))
+                report = json.loads((directory / "out" / "report.json").read_text())
+                del report["wall_seconds"]
+                outputs.append(((directory / "out" / "metrics.csv").read_bytes(), report))
+            assert outputs[0] == outputs[1]

@@ -9,17 +9,30 @@ from hypothesis import strategies as st
 
 from fedsim import (
     ConfigError,
-    LabeledExample,
     ModelSpec,
     finite_difference_check,
     forward,
-    gradient,
-    loss,
+    gradient_from_arrays,
+    loss_from_arrays,
     xavier_init,
 )
 from fedsim.model import batch_probs
 
-from conftest import gaussian_batch
+from conftest import LabeledExample, gaussian_batch, stack
+
+
+def loss(spec, w, batch) -> float:
+    X, y, _ = batch
+    return loss_from_arrays(spec, w, X, y)
+
+
+def gradient(spec, w, batch) -> np.ndarray:
+    X, y, _ = batch
+    return gradient_from_arrays(spec, w, X, y)
+
+
+def concat(*batches):
+    return tuple(np.concatenate(columns) for columns in zip(*batches))
 
 
 class TestModelSpec:
@@ -120,7 +133,7 @@ class TestLoss:
         # huge margin toward the true class drives the cross-entropy to exactly 0
         spec = ModelSpec((1, 2))
         w = np.array([0.0, 0.0, 800.0, 0.0])
-        batch = [LabeledExample(np.array([0.5]), 0)]
+        batch = stack([LabeledExample(np.array([0.5]), 0)])
         assert loss(spec, w, batch) == 0.0
 
     def test_mean_decomposition(self, rng):
@@ -128,14 +141,14 @@ class TestLoss:
         w = rng.standard_normal(spec.param_count)
         a = gaussian_batch(rng, spec, 5)
         b = gaussian_batch(rng, spec, 11)
-        combined = loss(spec, w, a + b)
+        combined = loss(spec, w, concat(a, b))
         expected = (5 * loss(spec, w, a) + 11 * loss(spec, w, b)) / 16
         assert combined == pytest.approx(expected, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         spec = ModelSpec((2, 2))
         with pytest.raises(ValueError):
-            loss(spec, np.zeros(spec.param_count), [])
+            loss_from_arrays(spec, np.zeros(spec.param_count), np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
 
     @given(perm_seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -144,8 +157,8 @@ class TestLoss:
         spec = ModelSpec((3, 4, 2))
         w = rng.standard_normal(spec.param_count) * 0.5
         batch = gaussian_batch(rng, spec, 13)
-        shuffled = list(batch)
-        np.random.default_rng(perm_seed).shuffle(shuffled)
+        order = np.random.default_rng(perm_seed).permutation(13)
+        shuffled = tuple(column[order] for column in batch)
         assert loss(spec, w, shuffled) == pytest.approx(loss(spec, w, batch), abs=1e-12)
 
 
@@ -153,9 +166,9 @@ class TestGradient:
     def test_symmetric_zero_point_balanced_batch(self, rng):
         # equal class counts at zero weights: output-layer bias gradients vanish
         spec = ModelSpec((3, 2))
-        batch = [
+        batch = stack([
             LabeledExample(rng.standard_normal(3), label) for label in (0, 1, 0, 1, 0, 1)
-        ]
+        ])
         g = gradient(spec, np.zeros(spec.param_count), batch)
         assert np.allclose(g[-2:], 0.0, atol=1e-15)
 
@@ -164,7 +177,7 @@ class TestGradient:
         w = rng.standard_normal(spec.param_count) * 0.3
         example = gaussian_batch(rng, spec, 1)
         g_one = gradient(spec, w, example)
-        g_many = gradient(spec, w, example * 7)
+        g_many = gradient(spec, w, concat(*[example] * 7))
         assert np.allclose(g_one, g_many, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -172,7 +185,8 @@ class TestGradient:
         spec = ModelSpec((5, 7, 3), activation=activation)
         w = rng.standard_normal(spec.param_count) * 0.6
         batch = gaussian_batch(rng, spec, 10)
-        assert finite_difference_check(spec, w, batch) < 1e-5
+        X, y, _ = batch
+        assert finite_difference_check(spec, w, X, y) < 1e-5
 
     def test_same_shape_as_weights(self, rng):
         spec = ModelSpec((3, 4, 2))
@@ -188,13 +202,11 @@ class TestFiniteDifferenceCheck:
         w = np.zeros(spec.param_count)
         w[2:4] = -5.0  # hidden biases
         w[4:8] = [0.4, -0.2, 0.3, 0.1]  # output weights
-        batch = [LabeledExample(np.array([1.0]), 0), LabeledExample(np.array([-0.5]), 1)]
+        batch = stack([LabeledExample(np.array([1.0]), 0), LabeledExample(np.array([-0.5]), 1)])
         g = gradient(spec, w, batch)
         assert np.all(g[:4] == 0.0)
         h = 1e-5
-        X = np.stack([ex.features for ex in batch])
-        y = np.array([ex.label for ex in batch])
-        from fedsim.model import loss_from_arrays
+        X, y, _ = batch
 
         for j in range(4):
             up, down = w.copy(), w.copy()
@@ -206,15 +218,16 @@ class TestFiniteDifferenceCheck:
     def test_halving_h_taylor_behavior(self, rng):
         spec = ModelSpec((3, 5, 2), activation="tanh")
         w = rng.standard_normal(spec.param_count) * 0.7
-        batch = gaussian_batch(rng, spec, 6)
-        err_h = finite_difference_check(spec, w, batch, h=1e-4)
-        err_half = finite_difference_check(spec, w, batch, h=5e-5)
+        X, y, _ = gaussian_batch(rng, spec, 6)
+        err_h = finite_difference_check(spec, w, X, y, h=1e-4)
+        err_half = finite_difference_check(spec, w, X, y, h=5e-5)
         assert err_half <= 4.0 * err_h + 1e-12
 
     def test_invalid_h_rejected(self, rng):
         spec = ModelSpec((2, 2))
         with pytest.raises(ValueError):
-            finite_difference_check(spec, np.zeros(spec.param_count), gaussian_batch(rng, spec, 2), h=0.0)
+            X, y, _ = gaussian_batch(rng, spec, 2)
+            finite_difference_check(spec, np.zeros(spec.param_count), X, y, h=0.0)
 
 
 def test_batch_probs_matches_forward(rng):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fedsim import (
     ServerState,
     apply_adam,
     apply_plain,
-    gradient,
+    gradient_from_arrays,
     pseudo_gradient,
     run_round,
     select_clients,
@@ -275,11 +276,10 @@ class TestRunRound:
         )
         state = ServerState.initial(xavier_init(spec, 3))
         state, record = run_round(state, federation, list(federation.user_ids), cfg, round_seed=17)
-        pooled = [
-            ex for uid in record.selected_users for ex in federation.partition(uid).examples
-        ]
-        expected = ServerState.initial(xavier_init(spec, 3)).weights - eta_local * gradient(
-            spec, xavier_init(spec, 3), pooled
+        X = np.concatenate([federation.partition(u).X for u in record.selected_users])
+        y = np.concatenate([federation.partition(u).y for u in record.selected_users])
+        expected = ServerState.initial(xavier_init(spec, 3)).weights - eta_local * gradient_from_arrays(
+            spec, xavier_init(spec, 3), X, y
         )
         assert np.max(np.abs(state.weights - expected)) < 1e-10
 
@@ -313,6 +313,21 @@ class TestRunRound:
         assert record.selected_users == tuple(sorted(record.selected_users))
         assert record.pseudo_gradient_norm >= 0.0
         assert np.isfinite(record.train_loss_mean)
+
+    @pytest.mark.parametrize("strategy", [AveragingStrategy.adam(1e-3), AveragingStrategy.plain(1.0)])
+    def test_overflowing_pseudo_gradient_stops_the_round(self, strategy):
+        # client weights of order 1e200 stay finite, but the pseudo-gradient
+        # norm and Adam's second moment overflow to inf
+        federation, spec = small_setup(seed=3)
+        cfg = RoundConfig(
+            participation=1.0,
+            local=LocalTrainingConfig(epochs=1, batch_size=None, eta_local=1e200),
+            strategy=strategy,
+            model=spec,
+        )
+        state = replace(ServerState.initial(xavier_init(spec, 2)), round=4)
+        with pytest.raises(FloatingPointError, match="round 5: diverged"):
+            run_round(state, federation, list(federation.user_ids), cfg, 5)
 
     def test_dimension_mismatch_rejected(self):
         federation, spec = small_setup(seed=7)
