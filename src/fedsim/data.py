@@ -112,7 +112,9 @@ class Federation:
             raise ValueError(f"unknown user id {exc.args[0]}") from None
 
     def partition(self, user_id: int) -> ClientPartition:
-        (k,) = self.segments([user_id])
+        k = self._segment.get(user_id)  # one dict lookup: called per client per round
+        if k is None:
+            raise ValueError(f"unknown user id {user_id}")
         rows = slice(self.offsets[k], self.offsets[k + 1])
         return ClientPartition(user_id, self.X[rows], self.y[rows], self.duration[rows])
 

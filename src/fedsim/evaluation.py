@@ -116,12 +116,11 @@ def federated_eval(
     skipped = []
     user_ids = sorted(eval_user_ids)
     for uid, usable in zip(user_ids, _usable(federation, user_ids).all(axis=1)):
-        part = federation.partition(uid)
-        scores = score_examples(spec, w, part.X)
         if not usable:
             skipped.append(uid)
             continue
-        point = operating_point(scores, part.y, part.duration, targets)
+        part = federation.partition(uid)
+        point = operating_point(score_examples(spec, w, part.X), part.y, part.duration, targets)
         acc += part.size * point.recall
         total_weight += part.size
     if skipped:

@@ -1,6 +1,6 @@
-"""Experiment orchestration: strict JSON configuration, the round loop with
-early stopping, the centralized baseline, parameter sweeps, and CSV/JSON
-report emission.
+"""Experiment orchestration: strict JSON configuration, one optimization
+loop with early stopping shared by federated runs and the centralized
+baseline, parameter sweeps, and CSV/JSON report emission.
 
 Everything an experiment emits is a pure function of (config, master_seed);
 the master seed expands into per-purpose seeds via `seeding.derive_seed`.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import logging
@@ -18,6 +19,7 @@ import sys
 import time
 import types
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from .server import (
     RoundConfig,
     ServerState,
     apply_adam,
+    cohort_loss,
     run_round,
     upload_cost_bytes,
 )
@@ -300,12 +303,53 @@ def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]
     return ExperimentResult(report=report, metrics=metrics)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the synchronous optimization loop with early stopping.
+def _optimize(
+    config: ExperimentConfig, step: Callable[[int], tuple], federation: Federation, dev, test, t0: float
+) -> tuple[list[MetricsRecord], dict, int | None]:
+    """The loop run_experiment and run_baseline share.
 
-    Evaluates dev users every `eval_every` rounds (and at the final round),
-    stops at the first round meeting the recall target, then evaluates test
-    users once. Writes metrics.csv and report.json when output_dir is set.
+    `step(t)` takes step t (one round, or one central step) and returns the
+    new weights, the upload MB per client after t steps, and a callable for
+    the train loss a row writes, called only on evaluated steps. Evaluates
+    dev users every `eval_every` steps and at max_rounds, stops at the first
+    step meeting the recall target, then evaluates test users once. Returns
+    the rows, the report fields both drivers write, and the step that met
+    the target (None if none did).
+    """
+    metrics: list[MetricsRecord] = []
+    dev_metric = to_target = None
+    for t in range(1, config.max_rounds + 1):
+        w, upload_mb, train_loss = step(t)
+        if t % config.eval_every == 0 or t == config.max_rounds:
+            dev_metric = _evaluate(config, w, federation, dev)
+            metrics.append(
+                MetricsRecord(
+                    round=t,
+                    dev_metric=dev_metric,
+                    train_loss_mean=train_loss(),
+                    cumulative_upload_mb=upload_mb,
+                    wall_seconds=time.perf_counter() - t0,
+                )
+            )
+            _log_evaluation(metrics[-1])
+            if early_stop_check(dev_metric, config.targets):
+                to_target = t
+                break
+    report = {
+        "dev_metric": dev_metric,
+        "test_metric": _evaluate(config, w, federation, test) if test else None,
+        "wall_seconds": time.perf_counter() - t0,
+        "config_echo": config.to_dict(),
+    }
+    return metrics, report, to_target
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the synchronous federated optimization with early stopping.
+
+    Each step is one communication round; an evaluation row's train loss is
+    the round's cohort loss at the weights broadcast that round. Writes
+    metrics.csv and report.json when output_dir is set.
     """
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
@@ -316,105 +360,63 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         model=config.model,
     )
     state = ServerState.initial(w0)
-    d = config.model.param_count
-
-    metrics: list[MetricsRecord] = []
-    rounds_to_target = None
-    dev_metric = None
     total_local_steps = 0
-    rounds_used = 0
 
-    for t in range(1, config.max_rounds + 1):
+    def step(t: int):
+        nonlocal state, total_local_steps
+        broadcast = state.weights
         state, record = run_round(
             state, federation, train, round_cfg, derive_seed(config.master_seed, "round", t)
         )
-        rounds_used = t
         total_local_steps += sum(
             local_step_count(n_k, config.local.batch_size, config.local.epochs)
             for n_k in federation.sizes(record.selected_users).tolist()
         )
-        if t % config.eval_every == 0 or t == config.max_rounds:
-            dev_metric = _evaluate(config, state.weights, federation, dev)
-            metrics.append(
-                MetricsRecord(
-                    round=t,
-                    dev_metric=dev_metric,
-                    train_loss_mean=record.train_loss_mean,
-                    cumulative_upload_mb=upload_cost_bytes(d, config.participation, t) / 1e6,
-                    wall_seconds=time.perf_counter() - t0,
-                )
-            )
-            _log_evaluation(metrics[-1])
-            if early_stop_check(dev_metric, config.targets):
-                rounds_to_target = t
-                break
+        upload_mb = upload_cost_bytes(config.model.param_count, config.participation, t) / 1e6
+        train_loss = functools.partial(
+            cohort_loss, config.model, broadcast, federation, record.selected_users
+        )
+        return state.weights, upload_mb, train_loss
 
-    test_metric = _evaluate(config, state.weights, federation, test) if test else None
-    report = {
-        "rounds_to_target": rounds_to_target,
-        "dev_metric": dev_metric,
-        "test_metric": test_metric,
-        "upload_mb_per_client": upload_cost_bytes(d, config.participation, rounds_used) / 1e6,
-        "total_local_steps": total_local_steps,
-        "wall_seconds": time.perf_counter() - t0,
-        "config_echo": config.to_dict(),
-    }
+    metrics, report, rounds_to_target = _optimize(config, step, federation, dev, test, t0)
+    report.update(
+        rounds_to_target=rounds_to_target,
+        # the last step taken always writes a row
+        upload_mb_per_client=metrics[-1].cumulative_upload_mb,
+        total_local_steps=total_local_steps,
+    )
     return _finish(config, report, metrics)
 
 
 def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     """Centralized reference: pool all train users' data on one server.
 
-    Performs up to max_rounds mini-batch steps, drawn from the clients'
-    batch generator with seed parts (master_seed, "baseline"), with plain SGD
-    at eta_local or the server's Adam at the strategy's settings, evaluating
-    dev users with the same pipeline as the federated runs.
+    Each step is one mini-batch, drawn from the clients' batch generator with
+    seed parts (master_seed, "baseline"), with plain SGD at eta_local or the
+    server's Adam at the strategy's settings; an evaluation row's train loss
+    is the loss over the whole train pool after the step.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-
     X, y, _ = federation.pool(train)
-    n = len(y)
-
+    batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
     state = ServerState.initial(w0)
-    metrics: list[MetricsRecord] = []
-    steps_to_target = None
-    dev_metric = None
 
-    batches = minibatches(n, config.local.batch_size, config.master_seed, "baseline")
-    for step, idx in enumerate(itertools.islice(batches, config.max_rounds), start=1):
+    def step(t: int):
+        nonlocal state
+        idx = next(batches)
         grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
         if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
             state = apply_adam(state, grad, config.strategy)
         else:
             state = replace(state, weights=state.weights - config.local.eta_local * grad)
-        if step % config.eval_every == 0 or step == config.max_rounds:
-            dev_metric = _evaluate(config, state.weights, federation, dev)
-            metrics.append(
-                MetricsRecord(
-                    round=step,
-                    dev_metric=dev_metric,
-                    train_loss_mean=model_ops.loss_from_arrays(config.model, state.weights, X, y),
-                    cumulative_upload_mb=0.0,
-                    wall_seconds=time.perf_counter() - t0,
-                )
-            )
-            _log_evaluation(metrics[-1])
-            if early_stop_check(dev_metric, config.targets):
-                steps_to_target = step
-                break
+        train_loss = functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)
+        return state.weights, 0.0, train_loss
 
-    test_metric = _evaluate(config, state.weights, federation, test) if test else None
-    report = {
-        "steps_to_target": steps_to_target,
-        "dev_metric": dev_metric,
-        "test_metric": test_metric,
-        "pooled_examples": n,
-        "wall_seconds": time.perf_counter() - t0,
-        "config_echo": config.to_dict(),
-    }
+    metrics, report, steps_to_target = _optimize(config, step, federation, dev, test, t0)
+    report.update(steps_to_target=steps_to_target, pooled_examples=len(y))
     return _finish(config, report, metrics)
 
 
@@ -432,13 +434,16 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cross-product sweep over dotted config paths.
 
     Every grid point is validated before any point runs. Point i uses master
-    seed base+i, so a singleton grid reproduces run_experiment exactly.
+    seed base+i, so a singleton grid reproduces run_experiment exactly; the
+    grid may therefore not set master_seed, nor output_dir.
     Returns one row per (point, evaluated round) and writes sweep.csv when
     the base config has an output_dir.
     """
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep grid must be a nonempty mapping of parameter lists")
     for key, values in grid.items():
+        if key.split(".")[0] in ("master_seed", "output_dir"):
+            raise ConfigError(f"sweep grid may not set {key!r}; the sweep sets it per point")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep grid entry {key!r} must be a nonempty list")
 

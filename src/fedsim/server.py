@@ -1,6 +1,6 @@
 """Parameter-server state machine: client selection, pseudo-gradient
 aggregation, plain and Adam per-coordinate update rules, round
-orchestration, and upload-cost accounting.
+orchestration, the cohort train loss, and upload-cost accounting.
 
 The server treats the weighted sum of client deltas as a gradient and
 feeds it to the configured update rule; Adam moments persist across
@@ -71,15 +71,13 @@ class AveragingStrategy:
 
 @dataclass(frozen=True)
 class ServerState:
-    """Global weights plus optimizer moments and cumulative upload counters."""
+    """Global weights plus optimizer moments."""
 
     weights: np.ndarray
     round: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     adam_step: int = 0
-    cumulative_uploads: int = 0
-    cumulative_upload_bytes: int = 0
 
     def __post_init__(self):
         if self.m is None:
@@ -100,8 +98,6 @@ class RoundRecord:
     selected_users: tuple[int, ...]
     n_r: int
     pseudo_gradient_norm: float
-    train_loss_mean: float
-    upload_bytes: int
 
 
 @dataclass(frozen=True)
@@ -223,22 +219,18 @@ def run_round(
             f"round {new_state.round}: diverged; pseudo-gradient norm or server moments not finite"
         )
 
-    n_r = sum(p.size for p in parts)
-    train_loss = sum(
-        (p.size / n_r) * model.loss_from_arrays(cfg.model, w_prev, p.X, p.y) for p in parts
-    )
-    upload_bytes = len(selected) * cfg.model.param_count * BYTES_PER_PARAM
-    new_state = replace(
-        new_state,
-        cumulative_uploads=state.cumulative_uploads + len(selected),
-        cumulative_upload_bytes=state.cumulative_upload_bytes + upload_bytes,
-    )
     record = RoundRecord(
         round=new_state.round,
         selected_users=tuple(selected),
-        n_r=n_r,
+        n_r=sum(p.size for p in parts),
         pseudo_gradient_norm=grad_norm,
-        train_loss_mean=float(train_loss),
-        upload_bytes=upload_bytes,
     )
     return new_state, record
+
+
+def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
+    """Mean train loss of the users' examples at weights w: the n_k / n_r
+    weighted mean of per-user losses, summed in ascending user-id order."""
+    parts = [federation.partition(uid) for uid in sorted(user_ids)]
+    n_r = sum(p.size for p in parts)
+    return float(sum((p.size / n_r) * model.loss_from_arrays(spec, w, p.X, p.y) for p in parts))

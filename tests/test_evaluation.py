@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import fedsim.evaluation
 from fedsim import (
     ConfigError,
     EvalTargets,
@@ -216,6 +217,25 @@ class TestFederatedEval:
         # user 3 is excluded from the normalizer: same result as [1, 2]
         assert metric == pytest.approx(0.625, abs=1e-15)
         assert any("skipped" in rec.message for rec in caplog.records)
+
+    def test_skipped_users_are_not_scored(self, monkeypatch, caplog):
+        scored_rows = []
+
+        def counting_score_examples(spec, w, X):
+            scored_rows.append(len(X))
+            return score_examples(spec, w, X)
+
+        monkeypatch.setattr(fedsim.evaluation, "score_examples", counting_score_examples)
+        only_neg = [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]
+        only_pos = [LabeledExample(np.array([0.0]), 1, 1.0) for _ in range(5)]
+        no_neg_time = [LabeledExample(np.array([0.0]), label, 0.0) for label in (0, 1, 1, 0, 1, 0)]
+        fed = make_federation({**two_user_partitions(), 3: only_neg, 4: only_pos, 5: no_neg_time})
+        with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
+            metric = federated_eval(SPEC_1D, W_1D, fed, [5, 4, 3, 2, 1], EvalTargets())
+        # one call per usable user (sizes 10 and 30), in ascending user id
+        assert scored_rows == [10, 30]
+        assert metric == pytest.approx(0.625, abs=1e-15)
+        assert "skipped 3 user(s) without both classes: [3, 4, 5]" in caplog.text
 
     def test_all_users_skipped_raises(self):
         fed = make_federation({1: [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]})

@@ -16,7 +16,10 @@ from fedsim import (
     EvaluationError,
     Federation,
     FederationSpec,
+    RoundConfig,
+    ServerState,
     derive_seed,
+    run_round,
     save_federation,
     split_users,
     synthesize_federation,
@@ -268,6 +271,37 @@ class TestRunExperiment:
             header = next(csv.reader(fh))
         assert header == ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"]
 
+    def test_train_loss_is_cohort_loss_at_broadcast_weights(self):
+        cfg = config_from_dict(base_raw(
+            max_rounds=5, eval_every=2, participation=0.5,
+            local={"epochs": 2, "batch_size": 4, "eta_local": 0.05},
+            strategy={"kind": "adam", "eta_global": 0.05},
+            targets={"fah_budget": 300.0, "recall_target": 1.0},
+        ))
+        rows = {rec.round: rec for rec in run_experiment(cfg).metrics}
+        assert sorted(rows) == [2, 4, 5]
+
+        # replay the rounds; score each selected example with the per-row forward pass
+        federation, train, _, _, w0 = _prepare(cfg)
+        round_cfg = RoundConfig(participation=cfg.participation, local=cfg.local,
+                                strategy=cfg.strategy, model=cfg.model)
+        state = ServerState.initial(w0)
+        for t in range(1, cfg.max_rounds + 1):
+            broadcast = state.weights
+            state, record = run_round(state, federation, train, round_cfg,
+                                      derive_seed(cfg.master_seed, "round", t))
+            if t not in rows:
+                continue
+            losses, sizes = [], []
+            for uid in record.selected_users:
+                part = federation.partition(uid)
+                per_row = [-np.log(model_ops.forward(cfg.model, broadcast, x)[label])
+                           for x, label in zip(part.X, part.y)]
+                losses.append(np.mean(per_row))
+                sizes.append(part.size)
+            expected = np.average(losses, weights=sizes)
+            assert rows[t].train_loss_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_total_local_steps_counts_fullbatch_rounds(self):
         raw = base_raw(max_rounds=2, targets={"fah_budget": 300.0, "recall_target": 1.0})
         raw["local"] = {"epochs": 1, "batch_size": None, "eta_local": 0.0}
@@ -333,6 +367,41 @@ class TestRunBaseline:
         assert result.metrics[-1].round == 10
 
 
+class TestEvalEveryInvariance:
+    """eval_every changes which rows are written, never the trajectory."""
+
+    @staticmethod
+    def rows_and_test_metric(run, raw):
+        result = run(config_from_dict(raw))
+        rows = {
+            rec.round: (rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb)
+            for rec in result.metrics
+        }
+        return rows, result.report["test_metric"]
+
+    @pytest.mark.parametrize("run, extra", [
+        (run_experiment, {}),
+        (run_baseline, {"baseline_mode": "central_adam"}),
+        (run_baseline, {"baseline_mode": "central_sgd"}),
+    ])
+    def test_sparser_evaluation_writes_a_subset_of_the_same_rows(self, run, extra):
+        raw = base_raw(
+            max_rounds=8, participation=0.5, eval_mode="federated",
+            local={"epochs": 2, "batch_size": 4, "eta_local": 0.05},
+            strategy={"kind": "adam", "eta_global": 0.05},
+            targets={"fah_budget": 300.0, "recall_target": 1.0},
+            **extra,
+        )
+        every_step, test_every_step = self.rows_and_test_metric(run, {**raw, "eval_every": 1})
+        every_third, test_every_third = self.rows_and_test_metric(run, {**raw, "eval_every": 3})
+        # the recall target is never met, so both runs take all eight steps
+        assert sorted(every_step) == list(range(1, 9))
+        assert sorted(every_third) == [3, 6, 8]
+        for t, row in every_third.items():
+            assert row == every_step[t]
+        assert test_every_third == test_every_step is not None
+
+
 class TestSweep:
     def test_singleton_grid_matches_run_experiment(self):
         cfg = config_from_dict(base_raw(max_rounds=6))
@@ -377,6 +446,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="sweep point"):
             sweep(cfg, {"participation": [0.5, 2.0]})
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key", ["master_seed", "output_dir"])
+    def test_grid_may_not_set_seed_or_output_dir(self, tmp_path, key):
+        cfg = config_from_dict(base_raw(max_rounds=2, output_dir=str(tmp_path)))
+        values = [100, 200] if key == "master_seed" else [str(tmp_path / "a"), str(tmp_path / "b")]
+        with pytest.raises(ConfigError, match=key):
+            sweep(cfg, {"participation": [0.5], key: values})
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_grid_rejected(self):
         cfg = config_from_dict(base_raw())

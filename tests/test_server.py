@@ -307,12 +307,8 @@ class TestRunRound:
         state, record = run_round(state0, federation, list(federation.user_ids), cfg, 23)
         assert record.round == state.round == 1
         assert record.n_r == sum(federation.partition(u).size for u in record.selected_users)
-        assert record.upload_bytes == len(record.selected_users) * spec.param_count * 4
-        assert state.cumulative_uploads == len(record.selected_users)
-        assert state.cumulative_upload_bytes == record.upload_bytes
         assert record.selected_users == tuple(sorted(record.selected_users))
         assert record.pseudo_gradient_norm >= 0.0
-        assert np.isfinite(record.train_loss_mean)
 
     @pytest.mark.parametrize("strategy", [AveragingStrategy.adam(1e-3), AveragingStrategy.plain(1.0)])
     def test_overflowing_pseudo_gradient_stops_the_round(self, strategy):
