@@ -6,7 +6,7 @@ or Adam-style per-coordinate updates, evaluated by recall at a
 false-alarms-per-hour budget, with communication-cost accounting.
 """
 
-from .client import FULL_BATCH, ClientUpdate, LocalTrainingConfig, local_step_count, train_local
+from .client import FULL_BATCH, LocalTrainingConfig, local_step_count, train_local
 from .data import (
     POSITIVE_LABEL,
     ClientPartition,

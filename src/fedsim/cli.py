@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, EvaluationError
 from .experiment import ExperimentConfig, load_config, run_baseline, run_experiment, sweep
 
@@ -46,6 +48,8 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
+# numpy's overflow warnings would come before the one error: line; divergence checks still raise
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)

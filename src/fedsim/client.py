@@ -40,15 +40,6 @@ class LocalTrainingConfig:
             raise ConfigError("eta_local must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    """Locally trained weights sent back to the server."""
-
-    user_id: int
-    weights: np.ndarray
-    example_count: int
-
-
 def local_step_count(n_k: int, batch_size: int | None, epochs: int) -> int:
     """Gradient steps a client performs: epochs * max(ceil(n_k / batch), 1)."""
     if n_k < 1:
@@ -76,8 +67,8 @@ def train_local(
     cfg: LocalTrainingConfig,
     spec: ModelSpec,
     round_seed: int,
-) -> ClientUpdate:
-    """Run local SGD from the broadcast weights and package the update.
+) -> np.ndarray:
+    """Run local SGD from the broadcast weights; return the trained weights.
 
     Data is reshuffled once per epoch; the final partial batch is used as-is.
     w_start is never mutated.
@@ -89,9 +80,11 @@ def train_local(
         raise ValueError(f"weights have shape {w.shape}, expected ({spec.param_count},)")
 
     batches = minibatches(n, cfg.batch_size, round_seed, partition.user_id)
-    for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
-        w -= cfg.eta_local * model.gradient_from_arrays(spec, w, X[idx], y[idx])
-
-    if not np.all(np.isfinite(w)):
-        raise FloatingPointError(f"user {partition.user_id}: local training diverged")
-    return ClientUpdate(user_id=partition.user_id, weights=w, example_count=n)
+    try:
+        for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
+            w -= cfg.eta_local * model.gradient_from_arrays(spec, w, X[idx], y[idx])
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError
+    except FloatingPointError:
+        raise FloatingPointError(f"user {partition.user_id}: local training diverged") from None
+    return w

@@ -285,19 +285,23 @@ def _prepare(config: ExperimentConfig):
     return federation, train, dev, test, w0
 
 
-def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]) -> ExperimentResult:
-    """Write metrics.csv and report.json when output_dir is set."""
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
+def _write_row(out: Path, rec: MetricsRecord, first: bool) -> None:
+    """Append rec to out/metrics.csv. The first row creates the file and its
+    header and deletes an earlier run's report.json (_finish writes it)."""
+    if first:
         out.mkdir(parents=True, exist_ok=True)
-        with (out / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        (out / "report.json").unlink(missing_ok=True)
+    with (out / "metrics.csv").open("w" if first else "a", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if first:
             writer.writerow(["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"])
-            for rec in metrics:
-                writer.writerow(
-                    [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb]
-                )
-        with (out / "report.json").open("w", encoding="utf-8") as fh:
+        writer.writerow([rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb])
+
+
+def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]) -> ExperimentResult:
+    """Write report.json when output_dir is set."""
+    if config.output_dir is not None:
+        with (Path(config.output_dir) / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return ExperimentResult(report=report, metrics=metrics)
@@ -312,9 +316,9 @@ def _optimize(
     new weights, the upload MB per client after t steps, and a callable for
     the train loss a row writes, called only on evaluated steps. Evaluates
     dev users every `eval_every` steps and at max_rounds, stops at the first
-    step meeting the recall target, then evaluates test users once. Returns
-    the rows, the report fields both drivers write, and the step that met
-    the target (None if none did).
+    step meeting the recall target, then evaluates test users once. Writes
+    each row as it is made; returns the rows, the report fields both drivers
+    write, and the step that met the target (None if none did).
     """
     metrics: list[MetricsRecord] = []
     dev_metric = to_target = None
@@ -332,6 +336,8 @@ def _optimize(
                 )
             )
             _log_evaluation(metrics[-1])
+            if config.output_dir is not None:
+                _write_row(Path(config.output_dir), metrics[-1], first=len(metrics) == 1)
             if early_stop_check(dev_metric, config.targets):
                 to_target = t
                 break

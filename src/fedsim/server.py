@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .client import ClientUpdate, LocalTrainingConfig, train_local
+from .client import LocalTrainingConfig, train_local
 from .data import Federation
 from .errors import ConfigError
 from .model import ModelSpec
@@ -127,24 +127,18 @@ def select_clients(user_ids, participation: float, round_seed: int) -> list[int]
     return sorted(int(u) for u in chosen)
 
 
-def pseudo_gradient(w_prev: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
-    """Weighted sum of client deltas, each update weighted by n_k / n_r.
-
-    Summation runs in ascending user-id order so aggregation is bitwise
-    permutation-invariant.
-    """
-    if not updates:
-        raise ValueError("updates must be nonempty")
+def pseudo_gradient(w_prev: np.ndarray, sizes, client_weights) -> np.ndarray:
+    """Weighted sum of client deltas, (n_k / n_r) * (w_prev - w_k) added in the
+    order given, n_r = sum(sizes); client_weights may be a generator."""
+    if len(sizes) == 0:
+        raise ValueError("sizes must be nonempty")
     w_prev = np.asarray(w_prev, dtype=np.float64)
-    n_r = sum(u.example_count for u in updates)
+    n_r = sum(sizes)
     acc = np.zeros_like(w_prev)
-    for update in sorted(updates, key=lambda u: u.user_id):
-        if update.weights.shape != w_prev.shape:
-            raise ValueError(
-                f"user {update.user_id}: update shape {update.weights.shape} "
-                f"!= server shape {w_prev.shape}"
-            )
-        acc += (update.example_count / n_r) * (w_prev - update.weights)
+    for n_k, w_k in zip(sizes, client_weights, strict=True):
+        if w_k.shape != w_prev.shape:
+            raise ValueError(f"client weights shape {w_k.shape} != server shape {w_prev.shape}")
+        acc += (n_k / n_r) * (w_prev - w_k)
     return acc
 
 
@@ -193,24 +187,25 @@ def run_round(
 ) -> tuple[ServerState, RoundRecord]:
     """One synchronous communication round.
 
-    Selected clients all train from the same broadcast weights, their deltas
-    are aggregated into a pseudo-gradient, and the configured update rule
-    advances the global weights.
+    Selected clients all train from the same broadcast weights, one at a
+    time in ascending user id, and each delta joins the pseudo-gradient as
+    its client finishes, so a round holds at most two client weight vectors.
+    The configured update rule then advances the global weights. A client's
+    or the rule's FloatingPointError is re-raised naming the round.
     """
-    if state.weights.shape != (cfg.model.param_count,):
-        raise ValueError(
-            f"server weights length {state.weights.shape[0]} does not match "
-            f"model parameter count {cfg.model.param_count}"
-        )
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
-    parts = [federation.partition(uid) for uid in selected]
+    sizes = federation.sizes(selected).tolist()
     w_prev = state.weights
-    updates = [train_local(w_prev, part, cfg.local, cfg.model, round_seed) for part in parts]
-
-    grad = pseudo_gradient(w_prev, updates)
+    client_weights = (
+        train_local(w_prev, federation.partition(u), cfg.local, cfg.model, round_seed) for u in selected
+    )
     # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
     update_rule = {AveragingKind.PLAIN: apply_plain, AveragingKind.ADAM: apply_adam}
-    new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
+    try:
+        grad = pseudo_gradient(w_prev, sizes, client_weights)
+        new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
     grad_norm = float(np.linalg.norm(grad))
     # finite weights can hide an overflowed pseudo-gradient: Adam's step is
     # about zero once sqrt(v) is inf
@@ -222,7 +217,7 @@ def run_round(
     record = RoundRecord(
         round=new_state.round,
         selected_users=tuple(selected),
-        n_r=sum(p.size for p in parts),
+        n_r=sum(sizes),
         pseudo_gradient_norm=grad_norm,
     )
     return new_state, record

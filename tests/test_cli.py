@@ -2,11 +2,43 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.cli import main
+
+ROUND_DIVERGED = r"error: round 1: diverged; "
+CLIENT_DIVERGED = ROUND_DIVERGED + r"user \d+: local training diverged\n"
+
+# config overrides that diverge in round 1, with the one stderr line each gives
+DIVERGING = {
+    # the first local step overflows the weights
+    "eta_1e308": ({"local": {"epochs": 1, "batch_size": None, "eta_local": 1e308}}, CLIENT_DIVERGED),
+    # the first local step leaves finite weights whose next gradient is not
+    "hidden_eta_1e300": (
+        {"model": {"layer_dims": [3, 8, 2]}, "local": {"epochs": 1, "batch_size": 2, "eta_local": 1e300}},
+        CLIENT_DIVERGED,
+    ),
+    # client weights stay finite; only the round's pseudo-gradient overflows
+    "eta_1e200_adam": (
+        {"local": {"epochs": 1, "batch_size": None, "eta_local": 1e200},
+         "strategy": {"kind": "adam", "eta_global": 0.001}},
+        ROUND_DIVERGED + r"pseudo-gradient norm or server moments not finite\n",
+    ),
+}
+
+
+def diverging_config(path: Path, case: str) -> str:
+    """Rewrite the config at path with the case's overrides; return the stderr pattern."""
+    overrides, pattern = DIVERGING[case]
+    path.write_text(json.dumps(json.loads(path.read_text()) | overrides))
+    return pattern
 
 
 @pytest.fixture
@@ -73,14 +105,27 @@ def test_baseline_command(config_file, tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_diverged_run_fails_with_diagnostic(config_file, capsys):
+@pytest.mark.parametrize("case", ["eta_1e308", "hidden_eta_1e300"])
+def test_diverged_run_fails_with_diagnostic(config_file, capsys, case):
     path, _ = config_file
-    raw = json.loads(path.read_text())
-    raw["local"]["eta_local"] = 1e308
-    path.write_text(json.dumps(raw))
+    pattern = diverging_config(path, case)
     assert main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.fullmatch(pattern, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_diverged_run_prints_one_line_in_a_subprocess(config_file, case):
+    # outside pytest nothing captures numpy's warnings, so stderr shows all
+    path, _ = config_file
+    pattern = diverging_config(path, case)
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "run", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert re.fullmatch(pattern, proc.stderr), proc.stderr
 
 
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):

@@ -59,16 +59,14 @@ class TestTrainLocal:
         part = make_partition(4, 7)
         w0 = np.random.default_rng(1).standard_normal(SPEC.param_count)
         cfg = LocalTrainingConfig(epochs=2, batch_size=3, eta_local=0.0)
-        update = train_local(w0, part, cfg, SPEC, round_seed=11)
-        assert np.array_equal(update.weights, w0)
+        assert np.array_equal(train_local(w0, part, cfg, SPEC, round_seed=11), w0)
 
     def test_single_full_batch_step_matches_direct_gradient(self):
         part = make_partition(2, 9)
         w0 = np.random.default_rng(2).standard_normal(SPEC.param_count)
         cfg = LocalTrainingConfig(epochs=1, batch_size=FULL_BATCH, eta_local=0.05)
-        update = train_local(w0, part, cfg, SPEC, round_seed=3)
         expected = w0 - 0.05 * gradient_from_arrays(SPEC, w0, part.X, part.y)
-        assert np.array_equal(update.weights, expected)
+        assert np.array_equal(train_local(w0, part, cfg, SPEC, round_seed=3), expected)
 
     def test_affine_in_eta_for_single_step(self):
         part = make_partition(2, 9)
@@ -76,8 +74,7 @@ class TestTrainLocal:
         g = gradient_from_arrays(SPEC, w0, part.X, part.y)
         for eta in (0.01, 0.04, 0.5):
             cfg = LocalTrainingConfig(epochs=1, batch_size=FULL_BATCH, eta_local=eta)
-            update = train_local(w0, part, cfg, SPEC, round_seed=3)
-            assert np.array_equal(update.weights, w0 - eta * g)
+            assert np.array_equal(train_local(w0, part, cfg, SPEC, round_seed=3), w0 - eta * g)
 
     def test_deterministic(self):
         part = make_partition(5, 12)
@@ -86,8 +83,8 @@ class TestTrainLocal:
         a = train_local(w0, part, cfg, SPEC, round_seed=7)
         b = train_local(w0, part, cfg, SPEC, round_seed=7)
         c = train_local(w0, part, cfg, SPEC, round_seed=8)
-        assert np.array_equal(a.weights, b.weights)
-        assert not np.array_equal(a.weights, c.weights)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_does_not_mutate_start_weights(self):
         part = make_partition(6, 5)
@@ -96,12 +93,24 @@ class TestTrainLocal:
         train_local(w0, part, LocalTrainingConfig(eta_local=0.2), SPEC, round_seed=1)
         assert np.array_equal(w0, snapshot)
 
-    def test_update_metadata(self):
-        part = make_partition(9, 13)
-        w0 = np.zeros(SPEC.param_count)
-        update = train_local(w0, part, LocalTrainingConfig(), SPEC, round_seed=0)
-        assert update.user_id == 9
-        assert update.example_count == 13
+    def test_divergence_names_user(self):
+        # one label and features of 10 make a gradient of 5 per weight, and
+        # 1e308 * 5 overflows to inf
+        part = ClientPartition(4, np.full((6, 3), 10.0), np.ones(6, dtype=np.intp), np.ones(6))
+        cfg = LocalTrainingConfig(epochs=1, batch_size=FULL_BATCH, eta_local=1e308)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=r"^user 4: local training diverged$"):
+            train_local(np.zeros(SPEC.param_count), part, cfg, SPEC, round_seed=1)
+
+    def test_gradient_failure_reported_as_divergence(self, monkeypatch):
+        import fedsim.model
+
+        def failing(spec, w, X, y):
+            raise FloatingPointError("gradient produced non-finite values")
+
+        monkeypatch.setattr(fedsim.model, "gradient_from_arrays", failing)
+        part = make_partition(7, 5)
+        with pytest.raises(FloatingPointError, match=r"^user 7: local training diverged$"):
+            train_local(np.zeros(SPEC.param_count), part, LocalTrainingConfig(), SPEC, round_seed=0)
 
     def test_dimension_mismatch_rejected(self):
         part = make_partition(1, 4)

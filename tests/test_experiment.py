@@ -231,6 +231,30 @@ class TestRunExperiment:
             outputs.append((tmp_path / name / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_crash_keeps_completed_rows(self, tmp_path, monkeypatch):
+        # rows stream to metrics.csv as they are made; a crash in round 3
+        # keeps rows 1-2, byte for byte, and leaves no report.json (not even
+        # the one an earlier run left in the same directory)
+        raw = base_raw(max_rounds=5, targets={"fah_budget": 300.0, "recall_target": 1.0},
+                       output_dir=str(tmp_path / "out"))
+        run_experiment(config_from_dict(raw))
+        full = (tmp_path / "out" / "metrics.csv").read_bytes()
+        assert len(full.splitlines()) == 6
+        real = fedsim.experiment.run_round
+
+        def failing(state, *args):
+            if state.round == 2:
+                raise FloatingPointError("round 3: diverged; injected")
+            return real(state, *args)
+
+        monkeypatch.setattr(fedsim.experiment, "run_round", failing)
+        with pytest.raises(FloatingPointError, match="^round 3: diverged"):
+            run_experiment(config_from_dict(raw))
+        partial = (tmp_path / "out" / "metrics.csv").read_bytes()
+        assert [line.split(b",")[0] for line in partial.splitlines()] == [b"round", b"1", b"2"]
+        assert full.startswith(partial)
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_early_stop_round_stable_under_larger_cap(self):
         short = run_experiment(config_from_dict(base_raw(max_rounds=30)))
         long = run_experiment(config_from_dict(base_raw(max_rounds=120)))

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fedsim.server
 from fedsim import (
     AveragingKind,
     AveragingStrategy,
-    ClientUpdate,
     ConfigError,
     FederationSpec,
     LocalTrainingConfig,
@@ -26,10 +27,6 @@ from fedsim import (
     upload_cost_bytes,
     xavier_init,
 )
-
-
-def update(user_id: int, weights, count: int) -> ClientUpdate:
-    return ClientUpdate(user_id=user_id, weights=np.asarray(weights, dtype=float), example_count=count)
 
 
 class ScalarAdamReference:
@@ -88,29 +85,33 @@ class TestPseudoGradient:
         w_prev = np.array([1.0, 2.0, 3.0])
         w_k = np.array([0.5, 2.5, 3.0])
         for count in (1, 40):
-            g = pseudo_gradient(w_prev, [update(1, w_k, count)])
+            g = pseudo_gradient(w_prev, [count], [w_k])
             assert np.array_equal(g, w_prev - w_k)
 
     def test_two_clients_hand_weights(self):
         w_prev = np.array([2.0, -1.0])
         w1 = np.array([1.0, 0.0])
         w2 = np.array([0.0, 3.0])
-        g = pseudo_gradient(w_prev, [update(1, w1, 1), update(2, w2, 3)])
+        g = pseudo_gradient(w_prev, [1, 3], [w1, w2])
         expected = 0.25 * (w_prev - w1) + 0.75 * (w_prev - w2)
         assert np.array_equal(g, expected)
 
     def test_unchanged_clients_give_zero(self):
         w_prev = np.array([0.3, -0.7, 1.1])
-        g = pseudo_gradient(w_prev, [update(i, w_prev.copy(), 2) for i in range(4)])
+        g = pseudo_gradient(w_prev, [2] * 4, [w_prev.copy() for _ in range(4)])
         assert np.array_equal(g, np.zeros(3))
 
-    def test_permutation_invariant_bitwise(self):
+    def test_streamed_sum_in_given_order(self):
+        # a generator of weights gives the left-to-right sum of the same list
         rng = np.random.default_rng(8)
         w_prev = rng.standard_normal(6)
-        updates = [update(i, rng.standard_normal(6), int(rng.integers(1, 20))) for i in range(9)]
-        shuffled = list(updates)
-        rng.shuffle(shuffled)
-        assert np.array_equal(pseudo_gradient(w_prev, updates), pseudo_gradient(w_prev, shuffled))
+        client_ws = [rng.standard_normal(6) for _ in range(9)]
+        sizes = [int(n) for n in rng.integers(1, 20, size=9)]
+        expected = np.zeros(6)
+        for n_k, w_k in zip(sizes, client_ws):
+            expected += (n_k / sum(sizes)) * (w_prev - w_k)
+        assert np.array_equal(pseudo_gradient(w_prev, sizes, iter(client_ws)), expected)
+        assert np.array_equal(pseudo_gradient(w_prev, sizes, (w for w in client_ws)), expected)
 
     def test_linear_in_deltas_power_of_two_exact(self):
         # zero previous weights make each delta exactly representable, so
@@ -118,28 +119,31 @@ class TestPseudoGradient:
         rng = np.random.default_rng(9)
         w_prev = np.zeros(5)
         deltas = [rng.standard_normal(5) for _ in range(3)]
-        base = pseudo_gradient(w_prev, [update(i, -d, i + 1) for i, d in enumerate(deltas)])
+        sizes = [1, 2, 3]
+        base = pseudo_gradient(w_prev, sizes, [-d for d in deltas])
         for alpha in (2.0, 0.5, 4.0):
-            scaled = [update(i, -alpha * d, i + 1) for i, d in enumerate(deltas)]
-            assert np.array_equal(pseudo_gradient(w_prev, scaled), alpha * base)
+            assert np.array_equal(pseudo_gradient(w_prev, sizes, [-alpha * d for d in deltas]), alpha * base)
 
     def test_linear_in_deltas_general_close(self):
         rng = np.random.default_rng(10)
         w_prev = rng.standard_normal(5)
-        updates = [update(i, rng.standard_normal(5), i + 2) for i in range(4)]
-        base = pseudo_gradient(w_prev, updates)
+        client_ws = [rng.standard_normal(5) for _ in range(4)]
+        sizes = [2, 3, 4, 5]
+        base = pseudo_gradient(w_prev, sizes, client_ws)
         alpha = 3.7
-        scaled = [
-            update(u.user_id, w_prev - alpha * (w_prev - u.weights), u.example_count)
-            for u in updates
-        ]
-        assert np.allclose(pseudo_gradient(w_prev, scaled), alpha * base, rtol=1e-12)
+        scaled = [w_prev - alpha * (w_prev - w_k) for w_k in client_ws]
+        assert np.allclose(pseudo_gradient(w_prev, sizes, scaled), alpha * base, rtol=1e-12)
 
     def test_empty_and_mismatched_rejected(self):
         with pytest.raises(ValueError):
-            pseudo_gradient(np.zeros(3), [])
+            pseudo_gradient(np.zeros(3), [], [])
         with pytest.raises(ValueError):
-            pseudo_gradient(np.zeros(3), [update(1, np.zeros(4), 1)])
+            pseudo_gradient(np.zeros(3), [1], [np.zeros(4)])
+
+    @pytest.mark.parametrize("sizes,count", [([1, 2], 1), ([1], 2), ([4, 1, 2], 2)])
+    def test_count_mismatch_rejected(self, sizes, count):
+        with pytest.raises(ValueError):
+            pseudo_gradient(np.zeros(3), sizes, (np.ones(3) for _ in range(count)))
 
 
 class TestApplyPlain:
@@ -147,7 +151,7 @@ class TestApplyPlain:
         rng = np.random.default_rng(11)
         w_prev = rng.standard_normal(4)
         client_ws = [rng.standard_normal(4) for _ in range(5)]
-        g = pseudo_gradient(w_prev, [update(i, cw, 7) for i, cw in enumerate(client_ws)])
+        g = pseudo_gradient(w_prev, [7] * len(client_ws), client_ws)
         state = apply_plain(ServerState.initial(w_prev), g, AveragingStrategy.plain(1.0))
         assert np.allclose(state.weights, np.mean(client_ws, axis=0), atol=1e-12)
 
@@ -160,7 +164,7 @@ class TestApplyPlain:
     def test_half_rate_single_client_midpoint(self):
         w_prev = np.array([2.0, 0.0])
         w_k = np.array([0.0, 4.0])
-        g = pseudo_gradient(w_prev, [update(1, w_k, 3)])
+        g = pseudo_gradient(w_prev, [3], [w_k])
         state = apply_plain(ServerState.initial(w_prev), g, AveragingStrategy.plain(0.5))
         assert np.allclose(state.weights, [1.0, 2.0], atol=1e-15)
 
@@ -176,7 +180,7 @@ class TestApplyPlain:
         w_prev = rng.standard_normal(6)
         client_ws = [rng.standard_normal(6) for _ in range(4)]
         counts = [1, 5, 2, 9]
-        g = pseudo_gradient(w_prev, [update(i, cw, c) for i, (cw, c) in enumerate(zip(client_ws, counts))])
+        g = pseudo_gradient(w_prev, counts, client_ws)
         state = apply_plain(ServerState.initial(w_prev), g, AveragingStrategy.plain(1.0))
         lo = np.min(client_ws, axis=0)
         hi = np.max(client_ws, axis=0)
@@ -309,6 +313,70 @@ class TestRunRound:
         assert record.n_r == sum(federation.partition(u).size for u in record.selected_users)
         assert record.selected_users == tuple(sorted(record.selected_users))
         assert record.pseudo_gradient_norm >= 0.0
+
+    def test_train_user_order_invariant_bitwise(self):
+        federation, spec = small_setup(seed=8, users=12)
+        cfg = RoundConfig(
+            participation=0.5,
+            local=LocalTrainingConfig(epochs=2, batch_size=3, eta_local=0.1),
+            strategy=AveragingStrategy.adam(1e-2),
+            model=spec,
+        )
+        ids = [int(u) for u in federation.user_ids]
+        shuffled = list(ids)
+        np.random.default_rng(8).shuffle(shuffled)
+        assert shuffled != ids
+        state = ServerState.initial(xavier_init(spec, 4))
+        a_state, a_record = run_round(state, federation, ids, cfg, 31)
+        b_state, b_record = run_round(state, federation, shuffled, cfg, 31)
+        for name in ("weights", "m", "v"):
+            assert np.array_equal(getattr(a_state, name), getattr(b_state, name))
+        assert (a_state.round, a_state.adam_step) == (b_state.round, b_state.adam_step)
+        assert a_record == b_record
+
+    def test_clients_stream_into_the_sum(self, monkeypatch):
+        # clients train in ascending user id, and a client's weights are
+        # freed once added: at most one earlier client's are alive when the
+        # next client starts
+        federation, spec = small_setup(seed=5, users=8)
+        cfg = RoundConfig(
+            participation=1.0,
+            local=LocalTrainingConfig(epochs=1, batch_size=3, eta_local=0.05),
+            strategy=AveragingStrategy.adam(1e-3),
+            model=spec,
+        )
+        real = fedsim.server.train_local
+        results, alive_at_start, order = [], [], []
+
+        def tracking(w_start, partition, *args):
+            alive_at_start.append(sum(ref() is not None for ref in results))
+            order.append(partition.user_id)
+            out = real(w_start, partition, *args)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(fedsim.server, "train_local", tracking)
+        _, record = run_round(ServerState.initial(xavier_init(spec, 6)), federation, list(federation.user_ids), cfg, 3)
+        assert order == list(record.selected_users) == sorted(order)
+        assert len(alive_at_start) == 8
+        assert max(alive_at_start) <= 1
+
+    def test_client_divergence_names_round_and_user(self):
+        # with a hidden layer the first huge step makes the next gradient
+        # non-finite, which train_local reports as its user's divergence
+        federation, _ = small_setup(seed=3)
+        spec = ModelSpec((3, 4, 2))
+        cfg = RoundConfig(
+            participation=1.0,
+            local=LocalTrainingConfig(epochs=1, batch_size=2, eta_local=1e300),
+            strategy=AveragingStrategy.adam(),
+            model=spec,
+        )
+        state = replace(ServerState.initial(xavier_init(spec, 2)), round=4)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^round 5: diverged; user \d+: local training diverged$"
+        ):
+            run_round(state, federation, list(federation.user_ids), cfg, 5)
 
     @pytest.mark.parametrize("strategy", [AveragingStrategy.adam(1e-3), AveragingStrategy.plain(1.0)])
     def test_overflowing_pseudo_gradient_stops_the_round(self, strategy):
