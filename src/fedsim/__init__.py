@@ -41,14 +41,7 @@ from .experiment import (
     run_experiment,
     sweep,
 )
-from .model import (
-    ModelSpec,
-    finite_difference_check,
-    forward,
-    gradient_from_arrays,
-    loss_from_arrays,
-    xavier_init,
-)
+from .model import ModelSpec, gradient_from_arrays, loss_from_arrays, xavier_init
 from .seeding import derive_seed
 from .server import (
     AveragingKind,

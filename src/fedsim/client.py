@@ -82,7 +82,10 @@ def train_local(
     batches = minibatches(n, cfg.batch_size, round_seed, partition.user_id)
     try:
         for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
-            w -= cfg.eta_local * model.gradient_from_arrays(spec, w, X[idx], y[idx])
+            grad = model.gradient_from_arrays(spec, w, X[idx], y[idx])
+            grad *= cfg.eta_local
+            w -= grad
+        # once per update: a non-finite coordinate never turns finite again
         if not np.all(np.isfinite(w)):
             raise FloatingPointError
     except FloatingPointError:

@@ -285,17 +285,16 @@ def _prepare(config: ExperimentConfig):
     return federation, train, dev, test, w0
 
 
-def _write_row(out: Path, rec: MetricsRecord, first: bool) -> None:
-    """Append rec to out/metrics.csv. The first row creates the file and its
-    header and deletes an earlier run's report.json (_finish writes it)."""
+def _write_row(path: Path, header: list, row: list, first: bool) -> None:
+    """Append row to the CSV file at path, so a crash keeps the rows made so
+    far. The first row creates the file, its directory and the header."""
     if first:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").unlink(missing_ok=True)
-    with (out / "metrics.csv").open("w" if first else "a", encoding="utf-8", newline="") as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w" if first else "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if first:
-            writer.writerow(["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"])
-        writer.writerow([rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb])
+            writer.writerow(header)
+        writer.writerow(row)
 
 
 def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]) -> ExperimentResult:
@@ -337,7 +336,15 @@ def _optimize(
             )
             _log_evaluation(metrics[-1])
             if config.output_dir is not None:
-                _write_row(Path(config.output_dir), metrics[-1], first=len(metrics) == 1)
+                out, rec = Path(config.output_dir), metrics[-1]
+                if len(metrics) == 1:  # an earlier run's report must not sit beside these rows
+                    (out / "report.json").unlink(missing_ok=True)
+                _write_row(
+                    out / "metrics.csv",
+                    ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"],
+                    [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb],
+                    first=len(metrics) == 1,
+                )
             if early_stop_check(dev_metric, config.targets):
                 to_target = t
                 break
@@ -414,10 +421,16 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         nonlocal state
         idx = next(batches)
         grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
-        if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
-            state = apply_adam(state, grad, config.strategy)
-        else:
-            state = replace(state, weights=state.weights - config.local.eta_local * grad)
+        try:
+            if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
+                state = apply_adam(state, grad, config.strategy)
+            else:
+                state = replace(state, weights=state.weights - config.local.eta_local * grad)
+            # as in run_round: finite weights can hide overflowed Adam moments
+            if not all(np.isfinite(a).all() for a in (state.weights, state.m, state.v)):
+                raise FloatingPointError("weights or optimizer moments not finite")
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"step {t}: diverged; {exc}") from None
         train_loss = functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)
         return state.weights, 0.0, train_loss
 
@@ -442,8 +455,10 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     Every grid point is validated before any point runs. Point i uses master
     seed base+i, so a singleton grid reproduces run_experiment exactly; the
     grid may therefore not set master_seed, nor output_dir.
-    Returns one row per (point, evaluated round) and writes sweep.csv when
-    the base config has an output_dir.
+    Returns one row per (point, evaluated round). When the base config has
+    an output_dir, each point's rows are appended to sweep.csv as the point
+    finishes, so a failing point keeps the earlier points' rows; its error
+    names the point.
     """
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep grid must be a nonempty mapping of parameter lists")
@@ -470,19 +485,18 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
 
     rows: list[dict] = []
     for params, point_config in points:
-        result = run_experiment(point_config)
+        try:
+            result = run_experiment(point_config)
+        except (ValueError, EvaluationError, FloatingPointError, OSError) as exc:
+            raise type(exc)(f"sweep point {params}: {exc}") from None
+        cells = [json.dumps(v) if isinstance(v, (dict, list)) else v for v in params.values()]
         for rec in result.metrics:
+            if config.output_dir is not None:
+                _write_row(
+                    Path(config.output_dir) / "sweep.csv",
+                    keys + ["round", "dev_metric"],
+                    cells + [rec.round, rec.dev_metric],
+                    first=not rows,
+                )
             rows.append({**params, "round": rec.round, "dev_metric": rec.dev_metric})
-
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(keys + ["round", "dev_metric"])
-            for row in rows:
-                cells = [
-                    json.dumps(row[k]) if isinstance(row[k], (dict, list)) else row[k] for k in keys
-                ]
-                writer.writerow(cells + [row["round"], row["dev_metric"]])
     return rows

@@ -8,6 +8,7 @@ operations are pure functions of their inputs; everything is 64-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,21 +44,24 @@ class ModelSpec:
     def class_count(self) -> int:
         return self.layer_dims[-1]
 
-    @property
+    @cached_property
+    def layer_plan(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
+        """Per layer (weight start, bias start, bias end, weight shape) in the flat vector."""
+        plan, offset = [], 0
+        for fi, fo in zip(self.layer_dims, self.layer_dims[1:]):
+            plan.append((offset, offset + fi * fo, offset + fi * fo + fo, (fi, fo)))
+            offset += fi * fo + fo
+        return tuple(plan)
+
+    @cached_property
     def param_count(self) -> int:
         """Total scalar parameters: sum over layers of fan_in*fan_out + fan_out."""
-        return sum(fi * fo + fo for fi, fo in zip(self.layer_dims, self.layer_dims[1:]))
+        return self.layer_plan[-1][2]
 
 
-def _layer_views(spec: ModelSpec, w: np.ndarray):
-    """Yield (W, b) views into the flat vector, one pair per layer."""
-    offset = 0
-    for fi, fo in zip(spec.layer_dims, spec.layer_dims[1:]):
-        weight = w[offset : offset + fi * fo].reshape(fi, fo)
-        offset += fi * fo
-        bias = w[offset : offset + fo]
-        offset += fo
-        yield weight, bias
+def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into the flat vector, one pair per layer."""
+    return [(w[start:mid].reshape(shape), w[mid:end]) for start, mid, end, shape in spec.layer_plan]
 
 
 def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
@@ -75,34 +79,35 @@ def _activate(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
 
 def _activate_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if spec.activation == "relu":
-        # subgradient 0 at exactly 0
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # subgradient 0 at exactly 0; multiplies as 1.0 or 0.0
     return 1.0 - a * a
 
 
-def _forward_cached(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    """Run the net on a batch, keeping pre-activations for backprop.
+def _forward_cached(spec: ModelSpec, layers, X: np.ndarray):
+    """Run the net with the given _layer_views on a batch, keeping
+    pre-activations for backprop.
 
     Returns (logits, caches) where caches[l] = (input activation, z) per
     hidden layer.
     """
-    layers = list(_layer_views(spec, w))
     a = X
     caches = []
     for weight, bias in layers[:-1]:
-        z = a @ weight + bias
+        z = a @ weight
+        z += bias
         caches.append((a, z))
         a = _activate(spec, z)
     weight, bias = layers[-1]
-    logits = a @ weight + bias
+    logits = a @ weight
+    logits += bias
     caches.append((a, None))
     return logits, caches
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,18 +126,10 @@ def xavier_init(spec: ModelSpec, seed: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def forward(spec: ModelSpec, w: np.ndarray, features) -> np.ndarray:
-    """Class probability vector for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.feature_dim:
-        raise ValueError(f"features have shape {x.shape}, expected ({spec.feature_dim},)")
-    return batch_probs(spec, w, x[None, :])[0]
-
-
 def batch_probs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Probabilities for a stacked (n, feature_dim) batch."""
     w = _check_params(spec, w)
-    logits, _ = _forward_cached(spec, w, X)
+    logits, _ = _forward_cached(spec, _layer_views(spec, w), X)
     probs = _softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise FloatingPointError("forward pass produced non-finite probabilities")
@@ -144,57 +141,35 @@ def loss_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarra
     if len(y) == 0:
         raise ValueError("batch must be nonempty")
     w = _check_params(spec, w)
-    logits, _ = _forward_cached(spec, w, X)
+    logits, _ = _forward_cached(spec, _layer_views(spec, w), X)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
 
 
 def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of `loss_from_arrays` with respect to every parameter coordinate."""
-    w = _check_params(spec, w)
+    """Analytic gradient of `loss_from_arrays` with respect to every parameter coordinate.
+
+    The hot path of local training: w must be a float64 vector of length
+    spec.param_count, and neither it nor the result is checked here;
+    callers check their weights once per update.
+    """
     n = X.shape[0]
-    logits, caches = _forward_cached(spec, w, X)
+    layers = _layer_views(spec, w)
+    logits, caches = _forward_cached(spec, layers, X)
     delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    layers = list(_layer_views(spec, w))
     grad = np.empty_like(w)
-    views = list(_layer_views(spec, grad))
+    views = _layer_views(spec, grad)
     for idx in range(len(layers) - 1, -1, -1):
         a_in, _ = caches[idx]
         g_w, g_b = views[idx]
-        g_w[...] = a_in.T @ delta
-        g_b[...] = delta.sum(axis=0)
+        np.matmul(a_in.T, delta, out=g_w)
+        np.add.reduce(delta, axis=0, out=g_b)
         if idx > 0:
             weight, _ = layers[idx]
             _, z_prev = caches[idx - 1]
-            delta = (delta @ weight.T) * _activate_grad(spec, z_prev, a_in)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("gradient produced non-finite values")
+            delta = delta @ weight.T
+            delta *= _activate_grad(spec, z_prev, a_in)
     return grad
-
-
-def finite_difference_check(
-    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, h: float = 1e-5
-) -> float:
-    """Max relative error between the analytic gradient and central differences.
-
-    Per coordinate the relative error uses denominator max(|analytic|, |fd|, 1e-8),
-    so coordinates with a true zero gradient are compared absolutely.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    w = _check_params(spec, w)
-    analytic = gradient_from_arrays(spec, w, X, y)
-    worst = 0.0
-    for j in range(w.shape[0]):
-        bumped = w.copy()
-        bumped[j] = w[j] + h
-        up = loss_from_arrays(spec, bumped, X, y)
-        bumped[j] = w[j] - h
-        down = loss_from_arrays(spec, bumped, X, y)
-        fd = (up - down) / (2.0 * h)
-        denom = max(abs(analytic[j]), abs(fd), 1e-8)
-        worst = max(worst, abs(analytic[j] - fd) / denom)
-    return worst

@@ -5,7 +5,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fedsim import ClientPartition, Federation, ModelSpec
+from fedsim import ClientPartition, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
+from fedsim.model import batch_probs
 
 
 class LabeledExample(NamedTuple):
@@ -55,6 +56,37 @@ def gaussian_batch(rng: np.random.Generator, spec: ModelSpec, n: int) -> tuple[n
             for _ in range(n)
         ]
     )
+
+
+def forward(spec: ModelSpec, w: np.ndarray, features) -> np.ndarray:
+    """Class probabilities for one feature vector: the row-by-row reference
+    for the batched passes."""
+    return batch_probs(spec, w, np.asarray(features, dtype=np.float64)[None, :])[0]
+
+
+def finite_difference_check(
+    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, h: float = 1e-5
+) -> float:
+    """Max relative error between the analytic gradient and central differences.
+
+    Per coordinate the relative error uses denominator max(|analytic|, |fd|, 1e-8),
+    so coordinates with a true zero gradient are compared absolutely.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    w = np.asarray(w, dtype=np.float64)
+    analytic = gradient_from_arrays(spec, w, X, y)
+    worst = 0.0
+    for j in range(w.shape[0]):
+        bumped = w.copy()
+        bumped[j] = w[j] + h
+        up = loss_from_arrays(spec, bumped, X, y)
+        bumped[j] = w[j] - h
+        down = loss_from_arrays(spec, bumped, X, y)
+        fd = (up - down) / (2.0 * h)
+        denom = max(abs(analytic[j]), abs(fd), 1e-8)
+        worst = max(worst, abs(analytic[j] - fd) / denom)
+    return worst
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from fedsim import (
     ModelSpec,
     ServerState,
     apply_adam,
-    finite_difference_check,
     gradient_from_arrays,
     local_step_count,
     select_clients,
@@ -36,7 +35,7 @@ from fedsim import (
 from fedsim.experiment import config_from_dict, run_experiment
 from fedsim.server import RoundConfig, run_round
 
-from conftest import LabeledExample, stack
+from conftest import LabeledExample, finite_difference_check, stack
 from test_evaluation import brute_force_operating_point, scored_set
 from fedsim.evaluation import EvalTargets, operating_point
 

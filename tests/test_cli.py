@@ -34,11 +34,36 @@ DIVERGING = {
 }
 
 
+# baseline overrides that diverge in a central step (30 users, [5, 2], B = 4),
+# with the cause each gives
+DIVERGING_BASELINE = {
+    "central_sgd": (
+        {"local": {"epochs": 1, "batch_size": 4, "eta_local": 1e308}},
+        "weights or optimizer moments not finite",
+    ),
+    "central_adam": (
+        {"local": {"epochs": 1, "batch_size": 4, "eta_local": 0.01},
+         "strategy": {"kind": "adam", "eta_global": 1e308}},
+        "adam averaging produced non-finite weights",
+    ),
+}
+
+
 def diverging_config(path: Path, case: str) -> str:
     """Rewrite the config at path with the case's overrides; return the stderr pattern."""
     overrides, pattern = DIVERGING[case]
     path.write_text(json.dumps(json.loads(path.read_text()) | overrides))
     return pattern
+
+
+def run_cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+    """`python -m fedsim.cli *args` on this source tree. Outside pytest
+    nothing captures numpy's warnings, so stderr shows all of them."""
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 @pytest.fixture
@@ -115,17 +140,37 @@ def test_diverged_run_fails_with_diagnostic(config_file, capsys, case):
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
 def test_diverged_run_prints_one_line_in_a_subprocess(config_file, case):
-    # outside pytest nothing captures numpy's warnings, so stderr shows all
     path, _ = config_file
     pattern = diverging_config(path, case)
-    src = str(Path(fedsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedsim.cli", "run", "--config", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_subprocess("run", "--config", str(path))
     assert proc.returncode == 1
     assert re.fullmatch(pattern, proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("mode", sorted(DIVERGING_BASELINE))
+def test_diverged_baseline_prints_one_line_in_a_subprocess(config_file, mode):
+    # the step that overflows is named, not a later evaluation
+    path, _ = config_file
+    overrides, cause = DIVERGING_BASELINE[mode]
+    raw = json.loads(path.read_text()) | overrides
+    raw["federation"]["synthesize"] |= {"user_count": 30, "feature_dim": 5}
+    raw |= {"model": {"layer_dims": [5, 2]}, "baseline_mode": mode, "eval_every": 5}
+    path.write_text(json.dumps(raw))
+    proc = run_cli_subprocess("baseline", "--config", str(path))
+    assert proc.returncode == 1
+    assert re.fullmatch(rf"error: step \d+: diverged; {cause}\n", proc.stderr), proc.stderr
+
+
+def test_failed_sweep_point_prints_one_line_in_a_subprocess(config_file):
+    path, tmp_path = config_file
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"local.eta_local": [0.3, 0.1, 1e308]}))
+    proc = run_cli_subprocess("sweep", "--config", str(path), "--grid", str(grid))
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: sweep point \{'local.eta_local': 1e\+308\}: " + CLIENT_DIVERGED[len("error: "):],
+                        proc.stderr), proc.stderr
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "local.eta_local,round,dev_metric" and len(rows) > 1
 
 
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):

@@ -112,6 +112,25 @@ class TestTrainLocal:
         with pytest.raises(FloatingPointError, match=r"^user 7: local training diverged$"):
             train_local(np.zeros(SPEC.param_count), part, LocalTrainingConfig(), SPEC, round_seed=0)
 
+    def test_non_finite_gradient_mid_update_reported_as_divergence(self, monkeypatch):
+        # the gradient is not checked per step: the weights are, once, at the end
+        import fedsim.model
+
+        real = fedsim.model.gradient_from_arrays
+        calls = 0
+
+        def nan_at_step_2(spec, w, X, y):
+            nonlocal calls
+            calls += 1
+            return np.full_like(w, np.nan) if calls == 2 else real(spec, w, X, y)
+
+        monkeypatch.setattr(fedsim.model, "gradient_from_arrays", nan_at_step_2)
+        part = make_partition(5, 9)
+        cfg = LocalTrainingConfig(epochs=2, batch_size=3, eta_local=0.1)
+        with pytest.raises(FloatingPointError, match=r"^user 5: local training diverged$"):
+            train_local(np.zeros(SPEC.param_count), part, cfg, SPEC, round_seed=0)
+        assert calls == local_step_count(9, 3, 2) == 6
+
     def test_dimension_mismatch_rejected(self):
         part = make_partition(1, 4)
         with pytest.raises(ValueError):

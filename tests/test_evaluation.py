@@ -16,13 +16,12 @@ from fedsim import (
     POSITIVE_LABEL,
     early_stop_check,
     federated_eval,
-    forward,
     operating_point,
     pooled_eval,
     score_examples,
 )
 
-from conftest import LabeledExample, make_federation
+from conftest import LabeledExample, forward, make_federation
 
 
 def brute_force_operating_point(scores, labels, durations, targets):

@@ -38,6 +38,8 @@ from fedsim.experiment import (
     sweep,
 )
 
+from conftest import forward
+
 
 def base_raw(**overrides) -> dict:
     raw = {
@@ -319,7 +321,7 @@ class TestRunExperiment:
             losses, sizes = [], []
             for uid in record.selected_users:
                 part = federation.partition(uid)
-                per_row = [-np.log(model_ops.forward(cfg.model, broadcast, x)[label])
+                per_row = [-np.log(forward(cfg.model, broadcast, x)[label])
                            for x, label in zip(part.X, part.y)]
                 losses.append(np.mean(per_row))
                 sizes.append(part.size)
@@ -464,6 +466,20 @@ class TestSweep:
         assert len(rows) == 2 * 2 * 2
         kinds = {json.dumps(r["strategy"], sort_keys=True) for r in rows}
         assert len(kinds) == 2
+
+    def test_failing_point_keeps_earlier_points_rows(self, tmp_path):
+        raw = base_raw(max_rounds=4, targets={"fah_budget": 300.0, "recall_target": 1.0})
+        sweep(config_from_dict({**raw, "output_dir": str(tmp_path / "ok")}),
+              {"local.eta_local": [0.3, 0.1, 0.05]})
+        failing = config_from_dict({**raw, "output_dir": str(tmp_path / "bad")})
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^sweep point \{'local.eta_local': 1e\+308\}: round 1: diverged; "
+        ):
+            sweep(failing, {"local.eta_local": [0.3, 0.1, 1e308]})
+        kept = (tmp_path / "bad" / "sweep.csv").read_bytes()
+        full = (tmp_path / "ok" / "sweep.csv").read_bytes()
+        assert kept.count(b"\n") == 1 + 2 * 4
+        assert full.startswith(kept) and len(full) > len(kept)
 
     def test_invalid_point_fails_fast_without_output(self, tmp_path):
         cfg = config_from_dict(base_raw(output_dir=str(tmp_path)))

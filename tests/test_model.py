@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from fedsim import (
     ConfigError,
     ModelSpec,
-    finite_difference_check,
-    forward,
     gradient_from_arrays,
     loss_from_arrays,
     xavier_init,
 )
 from fedsim.model import batch_probs
 
-from conftest import LabeledExample, gaussian_batch, stack
+from conftest import LabeledExample, finite_difference_check, forward, gaussian_batch, stack
 
 
 def loss(spec, w, batch) -> float:
@@ -33,6 +31,44 @@ def gradient(spec, w, batch) -> np.ndarray:
 
 def concat(*batches):
     return tuple(np.concatenate(columns) for columns in zip(*batches))
+
+
+def reference_gradient(spec, w, X, y) -> np.ndarray:
+    """Reference for `gradient_from_arrays`: the same float operations in the
+    same order, written plainly (views sliced afresh, fresh products copied
+    into place), so the lean version must equal it bit for bit."""
+    def views(vector):
+        out, offset = [], 0
+        for fi, fo in zip(spec.layer_dims, spec.layer_dims[1:]):
+            out.append((vector[offset : offset + fi * fo].reshape(fi, fo),
+                        vector[offset + fi * fo : offset + fi * fo + fo]))
+            offset += fi * fo + fo
+        return out
+
+    layers = views(w)
+    a, caches = X, []
+    for weight, bias in layers[:-1]:
+        z = a @ weight + bias
+        caches.append((a, z))
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    logits = a @ layers[-1][0] + layers[-1][1]
+    caches.append((a, None))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=-1, keepdims=True)
+    delta[np.arange(X.shape[0]), y] -= 1.0
+    delta /= X.shape[0]
+    grad = np.empty_like(w)
+    grad_views = views(grad)
+    for idx in range(len(layers) - 1, -1, -1):
+        a_in, _ = caches[idx]
+        grad_views[idx][0][...] = a_in.T @ delta
+        grad_views[idx][1][...] = delta.sum(axis=0)
+        if idx > 0:
+            z_prev = caches[idx - 1][1]
+            act_grad = (z_prev > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a_in * a_in
+            delta = (delta @ layers[idx][0].T) * act_grad
+    return grad
 
 
 class TestModelSpec:
@@ -187,6 +223,24 @@ class TestGradient:
         batch = gaussian_batch(rng, spec, 10)
         X, y, _ = batch
         assert finite_difference_check(spec, w, X, y) < 1e-5
+
+    @given(
+        dims=st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=4),
+        classes=st.integers(min_value=2, max_value=5),
+        activation=st.sampled_from(["relu", "tanh"]),
+        n=st.integers(min_value=1, max_value=33),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, dims, classes, activation, n, seed):
+        # 0-3 hidden layers; single-row batches included
+        spec = ModelSpec((*dims, classes), activation=activation)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(spec.param_count) * rng.uniform(0.1, 2.0)
+        X = rng.standard_normal((n, spec.feature_dim))
+        y = rng.integers(0, classes, size=n)
+        expected = reference_gradient(spec, w, X, y)
+        assert gradient_from_arrays(spec, w, X, y).tobytes() == expected.tobytes()
 
     def test_same_shape_as_weights(self, rng):
         spec = ModelSpec((3, 4, 2))
