@@ -123,11 +123,15 @@ class Federation:
         k = self.segments(user_ids)
         return self.offsets[k + 1] - self.offsets[k]
 
-    def pool(self, user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, y, duration) of the given users' rows, concatenated in the order given."""
+    def rows(self, user_ids) -> np.ndarray:
+        """Indices of the given users' rows, concatenated in the order given."""
         starts, sizes = self.offsets[self.segments(user_ids)], self.sizes(user_ids)
         # pool row j of a user whose rows start at pool row p is federation row starts + j - p
-        rows = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+    def pool(self, user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, y, duration) of the given users' rows, concatenated in the order given."""
+        rows = self.rows(user_ids)
         return self.X[rows], self.y[rows], self.duration[rows]
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_ops
+from . import server
 from .client import LocalTrainingConfig, local_step_count, minibatches
 from .data import (
     Federation,
@@ -42,7 +43,6 @@ from .server import (
     AveragingStrategy,
     RoundConfig,
     ServerState,
-    apply_adam,
     cohort_loss,
     run_round,
     upload_cost_bytes,
@@ -423,7 +423,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
         try:
             if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
-                state = apply_adam(state, grad, config.strategy)
+                state = server.apply_adam(state, grad, config.strategy)
             else:
                 state = replace(state, weights=state.weights - config.local.eta_local * grad)
             # as in run_round: finite weights can hide overflowed Adam moments
@@ -455,7 +455,8 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     Every grid point is validated before any point runs. Point i uses master
     seed base+i, so a singleton grid reproduces run_experiment exactly; the
     grid may therefore not set master_seed, nor output_dir.
-    Returns one row per (point, evaluated round). When the base config has
+    Returns one row per (point, evaluated round): the point's grid values,
+    round, dev_metric and train_loss_mean. When the base config has
     an output_dir, each point's rows are appended to sweep.csv as the point
     finishes, so a failing point keeps the earlier points' rows; its error
     names the point.
@@ -491,12 +492,13 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
             raise type(exc)(f"sweep point {params}: {exc}") from None
         cells = [json.dumps(v) if isinstance(v, (dict, list)) else v for v in params.values()]
         for rec in result.metrics:
+            values = {"round": rec.round, "dev_metric": rec.dev_metric, "train_loss_mean": rec.train_loss_mean}
             if config.output_dir is not None:
                 _write_row(
                     Path(config.output_dir) / "sweep.csv",
-                    keys + ["round", "dev_metric"],
-                    cells + [rec.round, rec.dev_metric],
+                    keys + list(values),
+                    cells + list(values.values()),
                     first=not rows,
                 )
-            rows.append({**params, "round": rec.round, "dev_metric": rec.dev_metric})
+            rows.append({**params, **values})
     return rows

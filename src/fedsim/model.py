@@ -136,14 +136,18 @@ def batch_probs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return probs
 
 
+def row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy of every row of the batch (X, y), order preserved."""
+    w = _check_params(spec, w)
+    logits, _ = _forward_cached(spec, _layer_views(spec, w), X)
+    return -_log_softmax(logits)[np.arange(len(y)), y]
+
+
 def loss_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the batch (X, y) under the current parameters."""
     if len(y) == 0:
         raise ValueError("batch must be nonempty")
-    w = _check_params(spec, w)
-    logits, _ = _forward_cached(spec, _layer_views(spec, w), X)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(y)), y].mean())
+    return float(row_losses(spec, w, X, y).mean())
 
 
 def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_failed_sweep_point_prints_one_line_in_a_subprocess(config_file):
     assert re.fullmatch(r"error: sweep point \{'local.eta_local': 1e\+308\}: " + CLIENT_DIVERGED[len("error: "):],
                         proc.stderr), proc.stderr
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "local.eta_local,round,dev_metric" and len(rows) > 1
+    assert rows[0] == "local.eta_local,round,dev_metric,train_loss_mean" and len(rows) > 1
 
 
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):

@@ -2,24 +2,32 @@ from __future__ import annotations
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim.evaluation
 from fedsim import (
     ConfigError,
     EvalTargets,
     EvaluationError,
+    FederationSpec,
     ModelSpec,
     OperatingPoint,
     POSITIVE_LABEL,
     early_stop_check,
     federated_eval,
+    loss_from_arrays,
     operating_point,
     pooled_eval,
     score_examples,
+    synthesize_federation,
 )
+from fedsim.evaluation import row_chunks, segmented_recall
+from fedsim.server import cohort_loss
 
 from conftest import LabeledExample, forward, make_federation
 
@@ -220,19 +228,20 @@ class TestFederatedEval:
     def test_skipped_users_are_not_scored(self, monkeypatch, caplog):
         scored_rows = []
 
-        def counting_score_examples(spec, w, X):
-            scored_rows.append(len(X))
+        def recording_score_examples(spec, w, X):
+            scored_rows.append(X.copy())
             return score_examples(spec, w, X)
 
-        monkeypatch.setattr(fedsim.evaluation, "score_examples", counting_score_examples)
+        monkeypatch.setattr(fedsim.evaluation, "score_examples", recording_score_examples)
         only_neg = [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]
         only_pos = [LabeledExample(np.array([0.0]), 1, 1.0) for _ in range(5)]
         no_neg_time = [LabeledExample(np.array([0.0]), label, 0.0) for label in (0, 1, 1, 0, 1, 0)]
         fed = make_federation({**two_user_partitions(), 3: only_neg, 4: only_pos, 5: no_neg_time})
         with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
             metric = federated_eval(SPEC_1D, W_1D, fed, [5, 4, 3, 2, 1], EvalTargets())
-        # one call per usable user (sizes 10 and 30), in ascending user id
-        assert scored_rows == [10, 30]
+        # exactly the usable users' 40 rows, in ascending user id
+        usable_rows = np.concatenate([fed.partition(uid).X for uid in (1, 2)])
+        assert np.array_equal(np.concatenate(scored_rows), usable_rows)
         assert metric == pytest.approx(0.625, abs=1e-15)
         assert "skipped 3 user(s) without both classes: [3, 4, 5]" in caplog.text
 
@@ -310,6 +319,149 @@ class TestSegments:
 
         pooled = [ex for uid in sorted(eval_ids) for ex in users[uid]]
         assert pooled_eval(spec, w, federation, eval_ids, targets) == self.reference(spec, w, pooled, targets)
+
+
+def usable(labels, durations) -> bool:
+    """Whether operating_point can take this user's rows."""
+    negative = labels != POSITIVE_LABEL
+    return bool(negative.any() and not negative.all() and (durations[negative] > 0).any())
+
+
+def per_user_federated_eval(spec, w, federation, eval_user_ids, targets):
+    """federated_eval as one score_examples and one operating_point per user."""
+    acc, total = 0.0, 0
+    for uid in sorted(eval_user_ids):
+        part = federation.partition(uid)
+        if usable(part.y, part.duration):
+            point = operating_point(score_examples(spec, w, part.X), part.y, part.duration, targets)
+            acc += part.size * point.recall
+            total += part.size
+    return acc / total
+
+
+# few distinct values, so scores tie within and across classes, and some
+# negatives last no time at all
+SCORES = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+DURATIONS = (0.0, 0.5, 1.0, 3.0, 7.2, 1200.0)
+user_rows = st.lists(
+    st.tuples(st.sampled_from(SCORES), st.integers(0, 2), st.sampled_from(DURATIONS)), min_size=1, max_size=12
+)
+
+
+class TestSegmentedRecall:
+    @given(
+        users=st.lists(user_rows, min_size=1, max_size=8),
+        budget=st.floats(0.01, 5000.0),
+        on_boundary=st.booleans(),
+        pick=st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_operating_point_for_every_user(self, users, budget, on_boundary, pick):
+        users = [scored(rows) for rows in users]  # label 2 is a second negative class
+        kept = [u for u in users if usable(u[1], u[2])]
+        if not kept:
+            return
+        if on_boundary:
+            # a budget that k / neg_hours meets exactly for one user and count
+            scores, labels, durations = kept[pick % len(kept)]
+            negative = labels != POSITIVE_LABEL
+            neg_hours = sum(durations[negative].tolist()) / 3600.0
+            budget = (1 + pick % int(negative.sum())) / neg_hours
+        targets = EvalTargets(fah_budget=budget)
+        expected = [operating_point(*u, targets).recall for u in kept]
+        got = segmented_recall(
+            *(np.concatenate(column) for column in zip(*kept)), [len(u[0]) for u in kept], targets
+        )
+        assert got.tolist() == expected
+
+    @given(
+        users=st.lists(
+            st.lists(st.tuples(st.sampled_from((-2.0, -0.5, 0.0, 0.5, 2.0)), st.integers(0, 1),
+                               st.sampled_from(DURATIONS)), min_size=1, max_size=12),
+            min_size=1, max_size=10,
+        ),
+        budget=st.floats(1.0, 5000.0),
+        eval_rows=st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_federated_eval_equals_per_user_loop(self, users, budget, eval_rows):
+        # skipped users (no positive, or no negative time) included
+        federation = make_federation(
+            {uid: [LabeledExample(np.array([x]), label, d) for x, label, d in rows] for uid, rows in enumerate(users)}
+        )
+        parts = [federation.partition(uid) for uid in range(len(users))]
+        if not any(usable(p.y, p.duration) for p in parts):
+            return
+        targets = EvalTargets(fah_budget=budget)
+        ids = list(range(len(users)))[::-1]
+        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
+            got = federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+        assert got == per_user_federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=30), eval_rows=st.integers(1, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_row_chunks_hold_whole_users_in_order(self, sizes, eval_rows):
+        rows = np.arange(sum(sizes)) * 3  # any row indices
+        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
+            runs = row_chunks(rows, sizes)
+        assert np.array_equal(np.concatenate(runs), rows)
+        bounds = np.cumsum([0] + sizes).tolist()  # where each user's rows start, then the end
+        start = 0
+        for run in runs:
+            assert start + len(run) in bounds  # whole users
+            users = sizes[bounds.index(start) : bounds.index(start + len(run))]
+            assert len(run) < eval_rows + users[-1]
+            assert len(users) == 1 or 1 not in users  # a one-row user is alone
+            start += len(run)
+
+    def test_user_without_negative_time_rejected(self):
+        scores, labels, durations = scored([(0.9, 1, 1.0), (0.1, 0, 0.0)])
+        with pytest.raises(ValueError):
+            segmented_recall(scores, labels, durations, [2], EvalTargets())
+
+
+class TestChunkedPasses:
+    """federated_eval and the cohort loss do not depend on EVAL_ROWS; on
+    [10, 2] they equal the one-pass-per-user results bit for bit."""
+
+    @staticmethod
+    def setting(layer_dims, seed):
+        federation = synthesize_federation(
+            FederationSpec(user_count=150, size_mean=5.0, size_std=5.0, positive_rate=0.4), seed
+        )
+        assert (np.diff(federation.offsets) == 1).sum() >= 5  # one-row users are in the cohort
+        spec = ModelSpec(layer_dims)
+        w = np.random.default_rng(seed).standard_normal(spec.param_count)
+        return federation, spec, w, federation.user_ids.tolist()
+
+    @staticmethod
+    def per_user_cohort_loss(spec, w, federation, user_ids):
+        parts = [federation.partition(uid) for uid in sorted(user_ids)]
+        n_r = sum(p.size for p in parts)
+        return float(sum((p.size / n_r) * loss_from_arrays(spec, w, p.X, p.y) for p in parts))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bit_identical_on_linear_model(self, monkeypatch, seed):
+        federation, spec, w, users = self.setting((10, 2), seed)
+        targets = EvalTargets(fah_budget=200.0)
+        results = []
+        for eval_rows in (1, 10**9):
+            monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+            results.append((federated_eval(spec, w, federation, users, targets),
+                            cohort_loss(spec, w, federation, users)))
+        assert results[0] == results[1]
+        assert results[0][0] == per_user_federated_eval(spec, w, federation, users, targets)
+        assert results[0][1] == self.per_user_cohort_loss(spec, w, federation, users)
+
+    def test_cohort_loss_close_on_hidden_layer_model(self, monkeypatch):
+        federation, spec, w, users = self.setting((10, 16, 2), 5)
+        losses = []
+        for eval_rows in (1, 10**9):
+            monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+            losses.append(cohort_loss(spec, w, federation, users))
+        reference = self.per_user_cohort_loss(spec, w, federation, users)
+        assert losses[0] == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert losses[1] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestEarlyStop:

@@ -433,8 +433,8 @@ class TestSweep:
         cfg = config_from_dict(base_raw(max_rounds=6))
         single = run_experiment(cfg)
         rows = sweep(cfg, {"participation": [1.0]})
-        assert [(r["round"], r["dev_metric"]) for r in rows] == [
-            (m.round, m.dev_metric) for m in single.metrics
+        assert [(r["round"], r["dev_metric"], r["train_loss_mean"]) for r in rows] == [
+            (m.round, m.dev_metric, m.train_loss_mean) for m in single.metrics
         ]
 
     def test_grid_runs_every_point(self, tmp_path):
@@ -447,7 +447,7 @@ class TestSweep:
         assert len(rows) == 9
         with (tmp_path / "sweep.csv").open() as fh:
             reader = csv.reader(fh)
-            assert next(reader) == ["participation", "round", "dev_metric"]
+            assert next(reader) == ["participation", "round", "dev_metric", "train_loss_mean"]
             assert sum(1 for _ in reader) == 9
 
     def test_dotted_path_and_section_overrides(self):
