@@ -129,11 +129,6 @@ class Federation:
         # pool row j of a user whose rows start at pool row p is federation row starts + j - p
         return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
-    def pool(self, user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, y, duration) of the given users' rows, concatenated in the order given."""
-        rows = self.rows(user_ids)
-        return self.X[rows], self.y[rows], self.duration[rows]
-
 
 @dataclass(frozen=True)
 class FederationSpec:

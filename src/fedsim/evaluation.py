@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 # Sentinel threshold just above every attainable score: nothing triggers.
 TAU_ABOVE_ALL = math.nextafter(1.0, 2.0)
 
-# Rows a chunked pass (federated_eval, the cohort loss) gathers and runs
+# Rows a chunked pass (evaluation, the cohort loss) gathers and runs
 # through the model at a time. One pass over every evaluation row took the
 # paper-scale run's peak RSS from 67 to 108 MB; 512-row runs, to about 70 MB.
 EVAL_ROWS = 512
@@ -87,23 +87,6 @@ def operating_point(
     return OperatingPoint(tau=float(candidates[best]), recall=float(recall[best]), fah=float(fah[best]))
 
 
-def _usable(federation: Federation, user_ids) -> np.ndarray:
-    """Per given user: holds a positive and a negative of positive duration,
-    as operating_point needs. Column 0 is the former, column 1 the latter."""
-    y, starts = federation.y, federation.offsets[:-1]
-    has_pos = np.logical_or.reduceat(y == POSITIVE_LABEL, starts)
-    has_neg_time = np.logical_or.reduceat((y != POSITIVE_LABEL) & (federation.duration > 0), starts)
-    return np.stack([has_pos, has_neg_time], axis=1)[federation.segments(user_ids)]
-
-
-def can_evaluate(federation: Federation, user_ids, pooled: bool) -> bool:
-    """Whether pooled_eval (pooled) or federated_eval can produce a metric."""
-    usable = _usable(federation, user_ids)
-    if pooled:
-        return bool(usable.any(axis=0).all())
-    return bool(usable.all(axis=1).any())
-
-
 def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
     """Split the rows of consecutive users (sizes in order) into runs of
     whole users: a run holds the users whose first row falls in one block of
@@ -124,8 +107,7 @@ def segmented_recall(
     scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, sizes, targets: EvalTargets
 ) -> np.ndarray:
     """operating_point(...).recall of every user, exactly, where user u owns
-    the next sizes[u] rows and holds a positive and a negative of positive
-    duration.
+    the next sizes[u] rows, holds a positive and has negative hours above 0.
 
     FAH and recall both fall as the threshold rises, so the best feasible
     threshold is the smallest candidate within budget. With k the largest
@@ -143,8 +125,8 @@ def segmented_recall(
     neg_start = np.cumsum(n_neg) - n_neg
     # summed left to right per user, as operating_point does
     neg_durations = durations[~positive].tolist()
-    neg_hours = np.array([sum(neg_durations[s : s + n]) for s, n in zip(neg_start.tolist(), n_neg.tolist())])
-    neg_hours /= 3600.0
+    spans = zip(neg_start.tolist(), n_neg.tolist())
+    neg_hours = np.array([sum(neg_durations[s : s + n]) for s, n in spans], dtype=np.float64) / 3600.0
     if not (n_pos.all() and (neg_hours > 0).all()):
         raise ValueError("every user needs a positive and a negative of positive duration")
     # a user's j-th false alarm (j from 1) is within budget iff j / neg_hours is
@@ -160,50 +142,65 @@ def segmented_recall(
     return hits / n_pos
 
 
-def federated_eval(
-    spec: ModelSpec,
-    w: np.ndarray,
-    federation: Federation,
-    eval_user_ids,
-    targets: EvalTargets,
-) -> float:
-    """Example-count-weighted mean of per-user recalls at per-user budgets.
+def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    """(rows to score, in ascending user id; sizes of the segments whose
+    recalls are found; users skipped). A segment is one user (federated) or
+    every given user's rows (pooled). It is usable, as segmented_recall
+    needs, when it holds a positive and its negative durations, summed and
+    divided by 3600, are positive; federated evaluation skips the users that
+    are not. EvaluationError when no segment is usable.
 
-    Users whose partitions lack positives, negatives, or negative duration
-    are skipped and excluded from the weight normalizer. The other users'
-    rows are scored in runs of whole users (row_chunks), and their recalls
-    found all at once (segmented_recall).
+    The order of that sum cannot change the outcome: nonnegative floats sum
+    to hours that round to 0 only when every term is subnormal, and sums of
+    subnormals are exact.
     """
-    user_ids = sorted(eval_user_ids)
-    usable = _usable(federation, user_ids).all(axis=1).tolist()
-    skipped = [uid for uid, ok in zip(user_ids, usable) if not ok]
+    user_ids = sorted(user_ids)
+    rows, sizes = federation.rows(user_ids), federation.sizes(user_ids)
+    if pooled:
+        sizes = np.cumsum(sizes)[-1:]  # one segment, none without users
+    starts = np.cumsum(sizes) - sizes
+    negative = federation.y[rows] != POSITIVE_LABEL
+    has_pos = np.logical_or.reduceat(~negative, starts)
+    neg_hours = np.add.reduceat(np.where(negative, federation.duration[rows], 0.0), starts) / 3600.0
+    usable = has_pos & (neg_hours > 0)
+    if not usable.any():
+        unit = "pool" if pooled else "user"
+        raise EvaluationError(f"no {unit} with a positive and a negative time above 0 hours")
+    if usable.all():
+        return rows, sizes, []
+    skipped = [uid for uid, ok in zip(user_ids, usable.tolist()) if not ok]
+    return rows[np.repeat(usable, sizes)], sizes[usable], skipped
+
+
+def _segment_recalls(spec, w, federation, user_ids, targets, pooled) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and recalls of the eval_segments segments: the rows scored in
+    runs of whole users (row_chunks), every recall found in one search."""
+    rows, sizes, skipped = eval_segments(federation, user_ids, pooled)
     if skipped:
         logger.info("federated_eval skipped %d user(s) without both classes: %s", len(skipped), skipped)
-    kept = [uid for uid, ok in zip(user_ids, usable) if ok]
-    if not kept:
-        raise EvaluationError("every evaluation user was skipped; no metric available")
-    rows, sizes = federation.rows(kept), federation.sizes(kept).tolist()
     scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in row_chunks(rows, sizes)])
-    recalls = segmented_recall(scores, federation.y[rows], federation.duration[rows], sizes, targets)
+    return sizes, segmented_recall(scores, federation.y[rows], federation.duration[rows], sizes, targets)
+
+
+def federated_eval(
+    spec: ModelSpec, w: np.ndarray, federation: Federation, eval_user_ids, targets: EvalTargets
+) -> float:
+    """Example-count-weighted mean of per-user recalls at per-user budgets.
+    Users that are not usable (eval_segments) are skipped and excluded from
+    the weight normalizer."""
+    sizes, recalls = _segment_recalls(spec, w, federation, eval_user_ids, targets, pooled=False)
     acc = 0.0
-    for size, recall in zip(sizes, recalls.tolist()):
+    for size, recall in zip(sizes.tolist(), recalls.tolist()):
         acc += size * recall
-    return acc / sum(sizes)
+    return acc / sum(sizes.tolist())
 
 
 def pooled_eval(
-    spec: ModelSpec,
-    w: np.ndarray,
-    federation: Federation,
-    eval_user_ids,
-    targets: EvalTargets,
+    spec: ModelSpec, w: np.ndarray, federation: Federation, eval_user_ids, targets: EvalTargets
 ) -> float:
-    """Recall at a single operating point over all eval users' pooled examples."""
-    user_ids = sorted(eval_user_ids)
-    if not can_evaluate(federation, user_ids, pooled=True):
-        raise EvaluationError("pooled evaluation set lacks positives, negatives, or duration")
-    X, y, duration = federation.pool(user_ids)
-    return operating_point(score_examples(spec, w, X), y, duration, targets).recall
+    """Recall at a single operating point over all eval users' pooled
+    examples: the recall of the one segment, scored in one pass."""
+    return _segment_recalls(spec, w, federation, eval_user_ids, targets, pooled=True)[1].item()
 
 
 def early_stop_check(metric: float, targets: EvalTargets) -> bool:

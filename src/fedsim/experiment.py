@@ -36,7 +36,7 @@ from .data import (
     synthesize_federation,
 )
 from .errors import ConfigError, EvaluationError
-from .evaluation import EvalTargets, can_evaluate, early_stop_check, federated_eval, pooled_eval
+from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
 from .server import (
@@ -274,13 +274,14 @@ def _prepare(config: ExperimentConfig):
         raise ConfigError("user split produced an empty training pool")
     if not dev:
         raise ConfigError("user split produced an empty dev pool; cannot early-stop")
-    pooled = config.eval_mode is EvalMode.POOLED
     for name, pool in (("dev", dev), ("test", test)):
-        if pool and not can_evaluate(federation, pool, pooled):
-            raise EvaluationError(
-                f"the {name} pool cannot produce a {config.eval_mode.value} metric: no "
-                f"{'pool' if pooled else 'user'} with a positive and a negative of positive duration"
-            )
+        if not pool:
+            continue
+        try:
+            eval_segments(federation, pool, pooled=config.eval_mode is EvalMode.POOLED)
+        except EvaluationError as exc:
+            mode = config.eval_mode.value
+            raise EvaluationError(f"the {name} pool cannot produce a {mode} metric: {exc}") from None
     w0 = xavier_init(config.model, derive_seed(config.master_seed, "init"))
     return federation, train, dev, test, w0
 
@@ -319,6 +320,9 @@ def _optimize(
     each row as it is made; returns the rows, the report fields both drivers
     write, and the step that met the target (None if none did).
     """
+    if config.output_dir is not None:  # an earlier run's files must not sit beside this run's
+        for name in ("metrics.csv", "report.json"):
+            (Path(config.output_dir) / name).unlink(missing_ok=True)
     metrics: list[MetricsRecord] = []
     dev_metric = to_target = None
     for t in range(1, config.max_rounds + 1):
@@ -336,11 +340,9 @@ def _optimize(
             )
             _log_evaluation(metrics[-1])
             if config.output_dir is not None:
-                out, rec = Path(config.output_dir), metrics[-1]
-                if len(metrics) == 1:  # an earlier run's report must not sit beside these rows
-                    (out / "report.json").unlink(missing_ok=True)
+                rec = metrics[-1]
                 _write_row(
-                    out / "metrics.csv",
+                    Path(config.output_dir) / "metrics.csv",
                     ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"],
                     [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb],
                     first=len(metrics) == 1,
@@ -413,7 +415,8 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-    X, y, _ = federation.pool(train)
+    rows = federation.rows(train)
+    X, y = federation.X[rows], federation.y[rows]
     batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
     state = ServerState.initial(w0)
 
@@ -484,6 +487,8 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
             raise ConfigError(f"sweep point {dict(zip(keys, combo))}: {exc}") from None
         points.append((dict(zip(keys, combo)), point_config))
 
+    if config.output_dir is not None:  # an earlier sweep's rows must not sit beside this one's
+        (Path(config.output_dir) / "sweep.csv").unlink(missing_ok=True)
     rows: list[dict] = []
     for params, point_config in points:
         try:

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedsim
+from fedsim import POSITIVE_LABEL, Federation, FederationSpec, save_federation, synthesize_federation
 from fedsim.cli import main
 
 ROUND_DIVERGED = r"error: round 1: diverged; "
@@ -185,6 +187,55 @@ def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: round 1: diverged") and err.count("\n") == 1
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_underflowing_negative_hours_fail_before_round_one(tmp_path, capsys, monkeypatch):
+    # every negative lasts a positive 1e-321 s, but no user's negatives sum to
+    # more than 0 hours, so no dev user can be scored
+    federation = synthesize_federation(
+        FederationSpec(user_count=40, size_mean=8.0, size_std=3.0, feature_dim=4), seed=1
+    )
+    duration = np.where(federation.y == POSITIVE_LABEL, federation.duration, 1e-321)
+    save_federation(
+        Federation(federation.X, federation.y, duration, federation.user_ids, federation.offsets, 2),
+        tmp_path / "users.jsonl",
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "federation": {"load": str(tmp_path / "users.jsonl")},
+        "model": {"layer_dims": [4, 2]},
+        "eval_mode": "federated",
+        "output_dir": str(tmp_path / "out"),
+    }))
+
+    def trained(*args, **kwargs):
+        raise AssertionError("a round ran before the pools were checked")
+
+    monkeypatch.setattr(fedsim.experiment, "run_round", trained)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the dev pool cannot produce a federated metric: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "baseline", "sweep"])
+def test_failed_run_removes_an_earlier_runs_output(config_file, capsys, command):
+    # the same directory: a complete run, then one that fails in step 1, before its first row
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text()) | {"baseline_mode": "central_sgd" if command == "baseline" else "none"}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"participation": [1.0]}))
+    args = ["--grid", str(grid)] if command == "sweep" else []
+    files = ["sweep.csv"] if command == "sweep" else ["metrics.csv", "report.json"]
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), *args]) == 0
+    assert all((tmp_path / "out" / name).exists() for name in files)
+
+    raw["local"]["eta_local"] = 1e308
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), *args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any((tmp_path / "out" / name).exists() for name in files)
 
 
 def test_verbose_logs_one_line_per_evaluation(config_file, caplog):

@@ -26,7 +26,7 @@ from fedsim import (
     score_examples,
     synthesize_federation,
 )
-from fedsim.evaluation import row_chunks, segmented_recall
+from fedsim.evaluation import eval_segments, row_chunks, segmented_recall
 from fedsim.server import cohort_loss
 
 from conftest import LabeledExample, forward, make_federation
@@ -245,6 +245,15 @@ class TestFederatedEval:
         assert metric == pytest.approx(0.625, abs=1e-15)
         assert "skipped 3 user(s) without both classes: [3, 4, 5]" in caplog.text
 
+    def test_skips_users_whose_negative_hours_underflow(self, caplog):
+        # each negative lasts a positive 1e-321 s, but 2e-321 / 3600 rounds to 0 hours
+        tiny = [LabeledExample(np.array([1.0]), 1, 2.0)] + [LabeledExample(np.array([-1.0]), 0, 1e-321)] * 2
+        fed = make_federation({**two_user_partitions(), 3: tiny})
+        with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
+            metric = federated_eval(SPEC_1D, W_1D, fed, [1, 2, 3], EvalTargets())
+        assert metric == federated_eval(SPEC_1D, W_1D, fed, [1, 2], EvalTargets())
+        assert "skipped 1 user(s) without both classes: [3]" in caplog.text
+
     def test_all_users_skipped_raises(self):
         fed = make_federation({1: [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]})
         with pytest.raises(EvaluationError):
@@ -268,6 +277,20 @@ class TestPooledEval:
         fed = make_federation({1: [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(2)]})
         with pytest.raises(EvaluationError):
             pooled_eval(SPEC_1D, W_1D, fed, [1], EvalTargets())
+
+    def test_returns_the_recall_itself(self):
+        # 1 of 5 positives above the one negative, which alone blows the budget;
+        # a count-weighted mean over the 6 rows, (6 * 0.2) / 6, would not be 0.2
+        fed = make_federation({1: [LabeledExample(np.array([1.0]), 1, 2.0)]
+                                  + [LabeledExample(np.array([-1.0]), 1, 2.0)] * 4
+                                  + [LabeledExample(np.array([-1.0]), 0, 0.36)]})
+        assert pooled_eval(SPEC_1D, W_1D, fed, [1], EvalTargets()) == 1 / 5 != (6 * (1 / 5)) / 6
+
+    def test_pool_whose_negative_hours_underflow_raises(self):
+        tiny = [LabeledExample(np.array([1.0]), 1, 2.0)] + [LabeledExample(np.array([-1.0]), 0, 1e-321)] * 2
+        fed = make_federation({1: tiny[:2], 2: tiny[2:]})
+        with pytest.raises(EvaluationError, match="no pool with a positive and a negative time above 0 hours"):
+            pooled_eval(SPEC_1D, W_1D, fed, [1, 2], EvalTargets())
 
 
 class TestSegments:
@@ -390,13 +413,23 @@ class TestSegmentedRecall:
             {uid: [LabeledExample(np.array([x]), label, d) for x, label, d in rows] for uid, rows in enumerate(users)}
         )
         parts = [federation.partition(uid) for uid in range(len(users))]
-        if not any(usable(p.y, p.duration) for p in parts):
-            return
         targets = EvalTargets(fah_budget=budget)
         ids = list(range(len(users)))[::-1]
         with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
-            got = federated_eval(SPEC_1D, W_1D, federation, ids, targets)
-        assert got == per_user_federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+            if any(usable(p.y, p.duration) for p in parts):
+                got = federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+                assert got == per_user_federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+            else:
+                with pytest.raises(EvaluationError):
+                    federated_eval(SPEC_1D, W_1D, federation, ids, targets)
+            # the pooled leg: the pool's recall as operating_point finds it on the pooled rows
+            X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
+            if usable(y, duration):
+                expected = operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, targets).recall
+                assert pooled_eval(SPEC_1D, W_1D, federation, ids, targets) == expected
+            else:
+                with pytest.raises(EvaluationError):
+                    pooled_eval(SPEC_1D, W_1D, federation, ids, targets)
 
     @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=30), eval_rows=st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
@@ -413,6 +446,43 @@ class TestSegmentedRecall:
             assert len(run) < eval_rows + users[-1]
             assert len(users) == 1 or 1 not in users  # a one-row user is alone
             start += len(run)
+
+    @given(
+        users=st.lists(
+            # negatives near 0 hours: 1e-321 s is positive, but 2e-321 / 3600 rounds to 0
+            st.lists(st.tuples(st.integers(0, 2), st.sampled_from((0.0, 5e-324, 1e-321, 1e-318, 1.0))),
+                     min_size=1, max_size=12),
+            min_size=1, max_size=8,
+        ),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eval_segments_keeps_what_the_search_takes(self, users, pooled):
+        federation = make_federation(
+            {uid: [LabeledExample(np.array([0.0]), label, d) for label, d in rows] for uid, rows in enumerate(users)},
+            class_count=3,
+        )
+        ids = list(range(len(users)))
+        segments = [federation.rows(ids)] if pooled else [federation.rows([uid]) for uid in ids]
+
+        def searchable(rows):
+            y, duration = federation.y[rows], federation.duration[rows]
+            try:
+                with np.errstate(over="ignore"):  # j / a subnormal number of hours is inf
+                    segmented_recall(np.zeros(len(rows)), y, duration, [len(rows)], EvalTargets())
+            except ValueError:
+                return False
+            return True
+
+        kept = [rows for rows in segments if searchable(rows)]
+        if not kept:
+            with pytest.raises(EvaluationError):
+                eval_segments(federation, ids[::-1], pooled)
+            return
+        rows, sizes, skipped = eval_segments(federation, ids[::-1], pooled)
+        assert np.array_equal(rows, np.concatenate(kept))
+        assert sizes.tolist() == [len(rows) for rows in kept]
+        assert skipped == ([] if pooled else [uid for uid in ids if not searchable(segments[uid])])
 
     def test_user_without_negative_time_rejected(self):
         scores, labels, durations = scored([(0.9, 1, 1.0), (0.1, 0, 0.0)])
