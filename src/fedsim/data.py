@@ -123,11 +123,12 @@ class Federation:
         k = self.segments(user_ids)
         return self.offsets[k + 1] - self.offsets[k]
 
-    def rows(self, user_ids) -> np.ndarray:
-        """Indices of the given users' rows, concatenated in the order given."""
-        starts, sizes = self.offsets[self.segments(user_ids)], self.sizes(user_ids)
+    def rows(self, user_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the given users' rows, concatenated in the order given, and their sizes."""
+        k = self.segments(user_ids)
+        starts, sizes = self.offsets[k], self.offsets[k + 1] - self.offsets[k]
         # pool row j of a user whose rows start at pool row p is federation row starts + j - p
-        return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes), sizes
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,9 @@ def operating_point(
 
 
 def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
-    """Split the rows of consecutive users (sizes in order) into runs of
-    whole users: a run holds the users whose first row falls in one block of
-    EVAL_ROWS rows, so it has fewer than EVAL_ROWS rows plus its last user's.
+    """Split rows (indices, or data along them) of consecutive users, sizes in
+    order, into runs of whole users: a run holds the users whose first row falls
+    in one EVAL_ROWS block, so it has fewer than EVAL_ROWS rows plus its last user's.
 
     A one-row user is a run of its own: numpy multiplies a one-row matrix
     with gemv, which rounds differently from gemm, so only alone does its
@@ -155,7 +155,7 @@ def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.nd
     subnormals are exact.
     """
     user_ids = sorted(user_ids)
-    rows, sizes = federation.rows(user_ids), federation.sizes(user_ids)
+    rows, sizes = federation.rows(user_ids)
     if pooled:
         sizes = np.cumsum(sizes)[-1:]  # one segment, none without users
     starts = np.cumsum(sizes) - sizes

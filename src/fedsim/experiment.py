@@ -244,12 +244,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _evaluate(config: ExperimentConfig, w: np.ndarray, federation: Federation, user_ids) -> float:
-    if config.eval_mode is EvalMode.POOLED:
-        return pooled_eval(config.model, w, federation, user_ids, config.targets)
-    return federated_eval(config.model, w, federation, user_ids, config.targets)
-
-
 def _log_evaluation(rec: MetricsRecord) -> None:
     logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
 
@@ -308,7 +302,7 @@ def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]
 
 
 def _optimize(
-    config: ExperimentConfig, step: Callable[[int], tuple], federation: Federation, dev, test, t0: float
+    config: ExperimentConfig, step: Callable[[int], tuple], unit: str, federation: Federation, dev, test, t0
 ) -> tuple[list[MetricsRecord], dict, int | None]:
     """The loop run_experiment and run_baseline share.
 
@@ -318,22 +312,31 @@ def _optimize(
     dev users every `eval_every` steps and at max_rounds, stops at the first
     step meeting the recall target, then evaluates test users once. Writes
     each row as it is made; returns the rows, the report fields both drivers
-    write, and the step that met the target (None if none did).
+    write, and the step that met the target (None if none did). A
+    FloatingPointError of an evaluation or the train loss names `{unit} t` and the pool.
     """
     if config.output_dir is not None:  # an earlier run's files must not sit beside this run's
         for name in ("metrics.csv", "report.json"):
             (Path(config.output_dir) / name).unlink(missing_ok=True)
+    evaluate = pooled_eval if config.eval_mode is EvalMode.POOLED else federated_eval
+
+    def named(pool: str, compute: Callable[..., float], *args) -> float:
+        try:
+            return compute(*args)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{unit} {t}: diverged; {pool} pool: {exc}") from None
+
     metrics: list[MetricsRecord] = []
     dev_metric = to_target = None
     for t in range(1, config.max_rounds + 1):
         w, upload_mb, train_loss = step(t)
         if t % config.eval_every == 0 or t == config.max_rounds:
-            dev_metric = _evaluate(config, w, federation, dev)
+            dev_metric = named("dev", evaluate, config.model, w, federation, dev, config.targets)
             metrics.append(
                 MetricsRecord(
                     round=t,
                     dev_metric=dev_metric,
-                    train_loss_mean=train_loss(),
+                    train_loss_mean=named("train", train_loss),
                     cumulative_upload_mb=upload_mb,
                     wall_seconds=time.perf_counter() - t0,
                 )
@@ -350,9 +353,10 @@ def _optimize(
             if early_stop_check(dev_metric, config.targets):
                 to_target = t
                 break
+    test_metric = named("test", evaluate, config.model, w, federation, test, config.targets) if test else None
     report = {
         "dev_metric": dev_metric,
-        "test_metric": _evaluate(config, w, federation, test) if test else None,
+        "test_metric": test_metric,
         "wall_seconds": time.perf_counter() - t0,
         "config_echo": config.to_dict(),
     }
@@ -393,7 +397,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         return state.weights, upload_mb, train_loss
 
-    metrics, report, rounds_to_target = _optimize(config, step, federation, dev, test, t0)
+    metrics, report, rounds_to_target = _optimize(config, step, "round", federation, dev, test, t0)
     report.update(
         rounds_to_target=rounds_to_target,
         # the last step taken always writes a row
@@ -409,13 +413,13 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     Each step is one mini-batch, drawn from the clients' batch generator with
     seed parts (master_seed, "baseline"), with plain SGD at eta_local or the
     server's Adam at the strategy's settings; an evaluation row's train loss
-    is the loss over the whole train pool after the step.
+    is the mean row loss over the whole train pool (server.pool_row_losses).
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-    rows = federation.rows(train)
+    rows, sizes = federation.rows(train)
     X, y = federation.X[rows], federation.y[rows]
     batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
     state = ServerState.initial(w0)
@@ -434,10 +438,10 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
                 raise FloatingPointError("weights or optimizer moments not finite")
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
-        train_loss = functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)
-        return state.weights, 0.0, train_loss
+        w = state.weights
+        return w, 0.0, lambda: float(server.pool_row_losses(config.model, w, X, y, sizes).mean())
 
-    metrics, report, steps_to_target = _optimize(config, step, federation, dev, test, t0)
+    metrics, report, steps_to_target = _optimize(config, step, "step", federation, dev, test, t0)
     report.update(steps_to_target=steps_to_target, pooled_examples=len(y))
     return _finish(config, report, metrics)
 

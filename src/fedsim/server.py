@@ -208,7 +208,8 @@ def run_round(
         new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
-    grad_norm = float(np.linalg.norm(grad))
+    # a plain sum of squares: a BLAS dot this long wakes a second BLAS thread that then spins idle
+    grad_norm = math.sqrt(np.add.reduce(grad * grad))
     # finite weights can hide an overflowed pseudo-gradient: Adam's step is
     # about zero once sqrt(v) is inf
     if not (math.isfinite(grad_norm) and np.isfinite(new_state.m).all() and np.isfinite(new_state.v).all()):
@@ -225,20 +226,24 @@ def run_round(
     return new_state, record
 
 
+def pool_row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, sizes) -> np.ndarray:
+    """Cross-entropy at w of every row of (X, y), which hold consecutive users'
+    rows (sizes in order). The rows go through the model as views, in runs of
+    whole users (row_chunks), so that no pass is much longer than EVAL_ROWS."""
+    runs = zip(row_chunks(X, sizes), row_chunks(y, sizes))
+    return np.concatenate([model.row_losses(spec, w, X_run, y_run) for X_run, y_run in runs])
+
+
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
     """Mean train loss of the users' examples at weights w: the n_k / n_r
     weighted mean of per-user losses, summed in ascending user-id order.
 
-    The rows go through the model in runs of whole users (row_chunks). A
-    user's loss is the mean of its rows' losses, reduced as loss_from_arrays
-    reduces them: `x.mean()` is `np.add.reduce(x) / len(x)`, without the
-    overhead of the method.
+    A user's loss is the mean of its rows' pool_row_losses, reduced as
+    loss_from_arrays reduces them: `x.mean()` is `np.add.reduce(x) / len(x)`,
+    without the overhead of the method.
     """
-    user_ids = sorted(user_ids)
-    rows, sizes = federation.rows(user_ids), federation.sizes(user_ids).tolist()
-    losses = np.concatenate(
-        [model.row_losses(spec, w, federation.X[r], federation.y[r]) for r in row_chunks(rows, sizes)]
-    )
+    rows, sizes = federation.rows(sorted(user_ids))
+    losses, sizes = pool_row_losses(spec, w, federation.X[rows], federation.y[rows], sizes), sizes.tolist()
     n_r, ends = sum(sizes), itertools.accumulate(sizes)
     return float(
         sum((n_k / n_r) * float(np.add.reduce(losses[e - n_k : e]) / n_k) for n_k, e in zip(sizes, ends))

@@ -163,6 +163,20 @@ def test_diverged_baseline_prints_one_line_in_a_subprocess(config_file, mode):
     assert re.fullmatch(rf"error: step \d+: diverged; {cause}\n", proc.stderr), proc.stderr
 
 
+@pytest.mark.parametrize("eval_mode", ["federated", "pooled"])
+def test_huge_baseline_step_names_step_and_pool_in_a_subprocess(config_file, eval_mode):
+    # the step leaves weights finite but too large for the dev pool's forward pass
+    path, _ = config_file
+    raw = json.loads(path.read_text()) | {"baseline_mode": "central_sgd", "eval_mode": eval_mode}
+    raw["local"]["eta_local"] = 1e308
+    path.write_text(json.dumps(raw))
+    proc = run_cli_subprocess("baseline", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: step 1: diverged; dev pool: forward pass produced non-finite probabilities\n", (
+        proc.stderr
+    )
+
+
 def test_failed_sweep_point_prints_one_line_in_a_subprocess(config_file):
     path, tmp_path = config_file
     grid = tmp_path / "grid.json"

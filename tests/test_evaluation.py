@@ -27,7 +27,7 @@ from fedsim import (
     synthesize_federation,
 )
 from fedsim.evaluation import eval_segments, row_chunks, segmented_recall
-from fedsim.server import cohort_loss
+from fedsim.server import cohort_loss, pool_row_losses
 
 from conftest import LabeledExample, forward, make_federation
 
@@ -463,7 +463,7 @@ class TestSegmentedRecall:
             class_count=3,
         )
         ids = list(range(len(users)))
-        segments = [federation.rows(ids)] if pooled else [federation.rows([uid]) for uid in ids]
+        segments = [federation.rows(ids)[0]] if pooled else [federation.rows([uid])[0] for uid in ids]
 
         def searchable(rows):
             y, duration = federation.y[rows], federation.duration[rows]
@@ -492,7 +492,8 @@ class TestSegmentedRecall:
 
 class TestChunkedPasses:
     """federated_eval and the cohort loss do not depend on EVAL_ROWS; on
-    [10, 2] they equal the one-pass-per-user results bit for bit."""
+    [10, 2] they equal the one-pass-per-user results bit for bit, and the
+    mean of a pool's chunked row losses equals its one-pass loss."""
 
     @staticmethod
     def setting(layer_dims, seed):
@@ -532,6 +533,21 @@ class TestChunkedPasses:
         reference = self.per_user_cohort_loss(spec, w, federation, users)
         assert losses[0] == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert losses[1] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eval_rows", [1, 64, 512])
+    @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 16, 2)])
+    def test_pool_loss_is_the_gathered_pools_loss(self, monkeypatch, layer_dims, eval_rows):
+        # the baseline's train loss: the mean of the chunked row losses of a pool
+        federation, spec, w, users = self.setting(layer_dims, 6)
+        rows, sizes = federation.rows(users)
+        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        X, y = federation.X[rows], federation.y[rows]
+        got = float(pool_row_losses(spec, w, X, y, sizes).mean())
+        expected = loss_from_arrays(spec, w, X, y)
+        if len(layer_dims) == 2:
+            assert got == expected
+        else:  # a hidden layer's matmul rounds by the run's row count
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestEarlyStop:

@@ -377,6 +377,25 @@ class TestRunBaseline:
             federation.partition(uid).size for uid in train
         )
 
+    def test_train_loss_runs_are_bounded(self, monkeypatch):
+        # the train pool spans several runs; no loss pass takes more than one
+        raw = self._raw("central_sgd", max_rounds=3)
+        raw["federation"]["synthesize"]["user_count"] = 400
+        cfg = config_from_dict(raw)
+        real, counts = model_ops.row_losses, []
+
+        def counted(spec, w, X, y):
+            counts.append(len(y))
+            return real(spec, w, X, y)
+
+        monkeypatch.setattr(model_ops, "row_losses", counted)
+        result = run_baseline(cfg)
+        federation, train, _, _, _ = _prepare(cfg)
+        sizes = federation.sizes(train)
+        assert sizes.sum() > 4 * fedsim.evaluation.EVAL_ROWS
+        assert sum(counts) == len(result.metrics) * sizes.sum()  # every train row, once per row written
+        assert max(counts) <= fedsim.evaluation.EVAL_ROWS + sizes.max()
+
     def test_adam_converges_faster_than_sgd(self):
         adam = run_baseline(config_from_dict(self._raw("central_adam")))
         sgd = run_baseline(config_from_dict(self._raw("central_sgd")))

@@ -296,23 +296,36 @@ class TestRunRound:
             model=spec,
         )
         w0 = xavier_init(spec, 5)
-        state, _ = run_round(ServerState.initial(w0), federation, list(federation.user_ids), cfg, 9)
+        state, record = run_round(ServerState.initial(w0), federation, list(federation.user_ids), cfg, 9)
         assert np.array_equal(state.weights, w0)
+        assert record.pseudo_gradient_norm == 0.0
 
-    def test_round_record_bookkeeping(self):
-        federation, spec = small_setup(seed=4)
+    def test_round_record_bookkeeping(self, monkeypatch):
+        federation, _ = small_setup(seed=4)
+        spec = ModelSpec((3, 64, 64, 2))  # 4,546 coordinates: the norm sums pairwise
         cfg = RoundConfig(
             participation=0.4,
             local=LocalTrainingConfig(epochs=1, batch_size=4, eta_local=0.05),
             strategy=AveragingStrategy.adam(1e-3),
             model=spec,
         )
+        real, grads = fedsim.server.pseudo_gradient, []
+
+        def recorded(*args):
+            grads.append(real(*args))
+            return grads[-1]
+
+        monkeypatch.setattr(fedsim.server, "pseudo_gradient", recorded)
         state0 = ServerState.initial(xavier_init(spec, 1))
         state, record = run_round(state0, federation, list(federation.user_ids), cfg, 23)
         assert record.round == state.round == 1
         assert record.n_r == sum(federation.partition(u).size for u in record.selected_users)
         assert record.selected_users == tuple(sorted(record.selected_users))
-        assert record.pseudo_gradient_norm >= 0.0
+        # the 2-norm of the pseudo-gradient the round applied, against an exactly rounded sum of squares
+        (grad,) = grads
+        norm = math.sqrt(math.fsum(g * g for g in grad.tolist()))
+        assert norm > 0.0
+        assert record.pseudo_gradient_norm == pytest.approx(norm, rel=1e-12, abs=0.0)
 
     def test_train_user_order_invariant_bitwise(self):
         federation, spec = small_setup(seed=8, users=12)
