@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model
 from .data import ClientPartition
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .model import ModelSpec
 from .seeding import derive_seed
 
@@ -32,6 +32,7 @@ class LocalTrainingConfig:
     eta_local: float = 0.01
 
     def __post_init__(self):
+        require_finite(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size is not FULL_BATCH and self.batch_size < 1:
@@ -79,14 +80,17 @@ def train_local(
     if w.shape != (spec.param_count,):
         raise ValueError(f"weights have shape {w.shape}, expected ({spec.param_count},)")
 
+    # built once per update; the views of w stay valid because w changes only in place
+    buffer = np.empty_like(w)
+    workspace = dict(out=buffer, layers=model._layer_views(spec, w), out_layers=model._layer_views(spec, buffer))
     batches = minibatches(n, cfg.batch_size, round_seed, partition.user_id)
     try:
         for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
-            grad = model.gradient_from_arrays(spec, w, X[idx], y[idx])
+            grad = model.gradient_from_arrays(spec, w, X[idx], y[idx], **workspace)
             grad *= cfg.eta_local
             w -= grad
         # once per update: a non-finite coordinate never turns finite again
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise FloatingPointError
     except FloatingPointError:
         raise FloatingPointError(f"user {partition.user_id}: local training diverged") from None

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FederationFormatError
+from .errors import ConfigError, FederationFormatError, require_finite
 
 # Class index counted as a detection by the evaluation pipeline.
 POSITIVE_LABEL = 1
@@ -145,6 +145,7 @@ class FederationSpec:
     negative_duration_s: float = 3.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.user_count < 1:
             raise ConfigError("user_count must be >= 1")
         if self.size_mean <= 0:

@@ -1,8 +1,17 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the finiteness check of configs."""
+
+import math
 
 
 class ConfigError(ValueError):
     """An invalid model, federation, or experiment configuration."""
+
+
+def require_finite(config) -> None:
+    """Reject a config dataclass any of whose float fields is NaN or infinite, naming the field."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 class FederationFormatError(ValueError):

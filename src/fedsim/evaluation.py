@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .data import POSITIVE_LABEL, Federation
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, require_finite
 from .model import ModelSpec
 
 logger = logging.getLogger(__name__)
@@ -37,6 +37,7 @@ class EvalTargets:
     recall_target: float = 0.95
 
     def __post_init__(self):
+        require_finite(self)
         if self.fah_budget <= 0:
             raise ConfigError("fah_budget must be positive")
         if not 0.0 <= self.recall_target <= 1.0:

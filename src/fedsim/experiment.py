@@ -35,7 +35,7 @@ from .data import (
     split_users,
     synthesize_federation,
 )
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, require_finite
 from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
@@ -108,6 +108,7 @@ class ExperimentConfig:
     baseline_mode: BaselineMode = BaselineMode.NONE
 
     def __post_init__(self):
+        require_finite(self)
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.eval_every < 1:
@@ -423,11 +424,12 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     X, y = federation.X[rows], federation.y[rows]
     batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
     state = ServerState.initial(w0)
+    buffer = np.empty_like(state.weights)  # each step's weights are new; its gradient buffer is not
 
     def step(t: int):
         nonlocal state
         idx = next(batches)
-        grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
+        grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx], out=buffer)
         try:
             if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
                 state = server.apply_adam(state, grad, config.strategy)

@@ -104,15 +104,18 @@ def _forward_cached(spec: ModelSpec, layers, X: np.ndarray):
     return logits, caches
 
 
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """logits minus each row's max, taken exactly as C-1 maxima over the class columns."""
+    m = np.maximum(logits[:, 0], logits[:, 1])
+    for c in range(2, logits.shape[1]):
+        np.maximum(m, logits[:, c], out=m)
+    return logits - m[:, None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e = np.exp(_shifted(logits))
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
 def xavier_init(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -140,7 +143,8 @@ def row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> 
     """Cross-entropy of every row of the batch (X, y), order preserved."""
     w = _check_params(spec, w)
     logits, _ = _forward_cached(spec, _layer_views(spec, w), X)
-    return -_log_softmax(logits)[np.arange(len(y)), y]
+    shifted = _shifted(logits)
+    return -(shifted[np.arange(len(y)), y] - np.log(np.add.reduce(np.exp(shifted), axis=-1)))
 
 
 def loss_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -150,22 +154,25 @@ def loss_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarra
     return float(row_losses(spec, w, X, y).mean())
 
 
-def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def gradient_from_arrays(
+    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, *, out=None, layers=None, out_layers=None
+) -> np.ndarray:
     """Analytic gradient of `loss_from_arrays` with respect to every parameter coordinate.
 
     The hot path of local training: w must be a float64 vector of length
     spec.param_count, and neither it nor the result is checked here;
-    callers check their weights once per update.
+    callers check their weights once per update. Writes into and returns `out`
+    (new if None); `layers` and `out_layers` are w's and out's `_layer_views`.
     """
     n = X.shape[0]
-    layers = _layer_views(spec, w)
+    layers = _layer_views(spec, w) if layers is None else layers
     logits, caches = _forward_cached(spec, layers, X)
     delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grad = np.empty_like(w)
-    views = _layer_views(spec, grad)
+    out = np.empty_like(w) if out is None else out
+    views = _layer_views(spec, out) if out_layers is None else out_layers
     for idx in range(len(layers) - 1, -1, -1):
         a_in, _ = caches[idx]
         g_w, g_b = views[idx]
@@ -176,4 +183,4 @@ def gradient_from_arrays(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.nd
             _, z_prev = caches[idx - 1]
             delta = delta @ weight.T
             delta *= _activate_grad(spec, z_prev, a_in)
-    return grad
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .client import LocalTrainingConfig, train_local
 from .data import Federation
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .evaluation import row_chunks
 from .model import ModelSpec
 from .seeding import derive_seed
@@ -54,6 +54,7 @@ class AveragingStrategy:
         object.__setattr__(self, "kind", AveragingKind(self.kind))
         if self.eta_global is None:
             object.__setattr__(self, "eta_global", DEFAULT_ETA_GLOBAL[self.kind])
+        require_finite(self)
         if self.eta_global <= 0:
             raise ConfigError("eta_global must be positive")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:

@@ -89,6 +89,44 @@ def finite_difference_check(
     return worst
 
 
+def reference_gradient(spec, w, X, y) -> np.ndarray:
+    """Reference for `gradient_from_arrays`: the same float operations in the
+    same order, written plainly (views sliced afresh, fresh products copied
+    into place), so the lean version must equal it bit for bit."""
+    def views(vector):
+        out, offset = [], 0
+        for fi, fo in zip(spec.layer_dims, spec.layer_dims[1:]):
+            out.append((vector[offset : offset + fi * fo].reshape(fi, fo),
+                        vector[offset + fi * fo : offset + fi * fo + fo]))
+            offset += fi * fo + fo
+        return out
+
+    layers = views(w)
+    a, caches = X, []
+    for weight, bias in layers[:-1]:
+        z = a @ weight + bias
+        caches.append((a, z))
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    logits = a @ layers[-1][0] + layers[-1][1]
+    caches.append((a, None))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=-1, keepdims=True)
+    delta[np.arange(X.shape[0]), y] -= 1.0
+    delta /= X.shape[0]
+    grad = np.empty_like(w)
+    grad_views = views(grad)
+    for idx in range(len(layers) - 1, -1, -1):
+        a_in, _ = caches[idx]
+        grad_views[idx][0][...] = a_in.T @ delta
+        grad_views[idx][1][...] = delta.sum(axis=0)
+        if idx > 0:
+            z_prev = caches[idx - 1][1]
+            act_grad = (z_prev > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a_in * a_in
+            delta = (delta @ layers[idx][0].T) * act_grad
+    return grad
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240613)

@@ -239,10 +239,11 @@ def test_instrumented_gradient_count_matches_formula(n_k, batch, epochs):
     spec = ModelSpec((2, 2))
     calls = 0
 
-    def counting_stub(spec_, w_, X_, y_):
+    def counting_stub(spec_, w_, X_, y_, *, out, **views):
         nonlocal calls
         calls += 1
-        return np.zeros_like(w_)
+        out.fill(0.0)
+        return out
 
     partition = ClientPartition(1, np.zeros((n_k, 2)), np.arange(n_k) % 2, np.zeros(n_k))
     cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.1)

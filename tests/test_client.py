@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from fedsim import (
     local_step_count,
     train_local,
 )
+from fedsim.client import minibatches
 
-from conftest import LabeledExample, gaussian_batch, make_partition as partition_of
+from conftest import LabeledExample, gaussian_batch, make_partition as partition_of, reference_gradient
 
 SPEC = ModelSpec((3, 2))
 
@@ -68,6 +70,21 @@ class TestTrainLocal:
         expected = w0 - 0.05 * gradient_from_arrays(SPEC, w0, part.X, part.y)
         assert np.array_equal(train_local(w0, part, cfg, SPEC, round_seed=3), expected)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("epochs,batch", [(1, FULL_BATCH), (2, 3), (3, 1), (2, 4), (4, 20)])
+    def test_matches_plain_loop_bit_for_bit(self, activation, epochs, batch):
+        # the per-update workspace must not change a single step
+        spec = ModelSpec((3, 5, 4, 2), activation=activation)
+        rng = np.random.default_rng(epochs * 10 + (batch or 0))
+        part = ClientPartition(8, *gaussian_batch(rng, spec, 11))
+        w0 = rng.standard_normal(spec.param_count)
+        cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.05)
+        w = w0
+        steps = local_step_count(11, batch, epochs)
+        for idx in itertools.islice(minibatches(11, batch, 6, part.user_id), steps):
+            w = w - cfg.eta_local * reference_gradient(spec, w, part.X[idx], part.y[idx])
+        assert train_local(w0, part, cfg, spec, round_seed=6).tobytes() == w.tobytes()
+
     def test_affine_in_eta_for_single_step(self):
         part = make_partition(2, 9)
         w0 = np.random.default_rng(2).standard_normal(SPEC.param_count)
@@ -104,7 +121,7 @@ class TestTrainLocal:
     def test_gradient_failure_reported_as_divergence(self, monkeypatch):
         import fedsim.model
 
-        def failing(spec, w, X, y):
+        def failing(spec, w, X, y, **workspace):
             raise FloatingPointError("gradient produced non-finite values")
 
         monkeypatch.setattr(fedsim.model, "gradient_from_arrays", failing)
@@ -119,10 +136,13 @@ class TestTrainLocal:
         real = fedsim.model.gradient_from_arrays
         calls = 0
 
-        def nan_at_step_2(spec, w, X, y):
+        def nan_at_step_2(spec, w, X, y, *, out, **views):
             nonlocal calls
             calls += 1
-            return np.full_like(w, np.nan) if calls == 2 else real(spec, w, X, y)
+            if calls == 2:
+                out.fill(np.nan)
+                return out
+            return real(spec, w, X, y, out=out, **views)
 
         monkeypatch.setattr(fedsim.model, "gradient_from_arrays", nan_at_step_2)
         part = make_partition(5, 9)
@@ -143,10 +163,10 @@ class TestTrainLocal:
 
         real = fedsim.model.gradient_from_arrays
 
-        def counting(spec, w, X, y):
+        def counting(spec, w, X, y, **workspace):
             nonlocal calls
             calls += 1
-            return real(spec, w, X, y)
+            return real(spec, w, X, y, **workspace)
 
         monkeypatch.setattr(fedsim.model, "gradient_from_arrays", counting)
         part = make_partition(1, n)
@@ -159,9 +179,10 @@ class TestTrainLocal:
         seen_per_epoch: list[list[float]] = []
         import fedsim.model
 
-        def recording(spec, w, X, y):
+        def recording(spec, w, X, y, *, out, **views):
             seen_per_epoch[-1].extend(X[:, 0].tolist())
-            return np.zeros_like(w)
+            out.fill(0.0)
+            return out
 
         monkeypatch.setattr(fedsim.model, "gradient_from_arrays", recording)
         part = partition_of(3, [

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,16 @@ import pytest
 
 import fedsim.experiment
 from fedsim import (
+    AveragingStrategy,
     ConfigError,
+    EvalTargets,
     EvaluationError,
+    ExperimentConfig,
     Federation,
+    FederationSource,
     FederationSpec,
+    LocalTrainingConfig,
+    ModelSpec,
     RoundConfig,
     ServerState,
     derive_seed,
@@ -77,6 +84,38 @@ def fields_at_default(obj, prefix: str = "") -> list[str]:
         elif value == f.default:
             names.append(prefix + f.name)
     return names
+
+
+# Every config dataclass, with what its other required fields need.
+CONFIG_CLASSES = {
+    LocalTrainingConfig: {},
+    AveragingStrategy: {},
+    FederationSpec: {"user_count": 10},
+    EvalTargets: {},
+    ExperimentConfig: {"federation": FederationSource(FederationSpec(10)), "model": ModelSpec((10, 2))},
+    RoundConfig: {
+        "participation": 0.5,
+        "local": LocalTrainingConfig(),
+        "strategy": AveragingStrategy(),
+        "model": ModelSpec((10, 2)),
+    },
+}
+
+
+def float_fields():
+    for cls, required in CONFIG_CLASSES.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if hints[f.name] in (float, float | None):
+                yield pytest.param(cls, required, f.name, id=f"{cls.__name__}.{f.name}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls,required,name", list(float_fields()))
+def test_non_finite_float_field_rejected_from_python(cls, required, name, value):
+    # JSON configs are checked in parsing; a constructor must check as well
+    with pytest.raises(ConfigError, match=rf"^{name}\b"):
+        cls(**{**required, name: value})
 
 
 class TestConfigParsing:

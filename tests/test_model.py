@@ -14,9 +14,16 @@ from fedsim import (
     loss_from_arrays,
     xavier_init,
 )
-from fedsim.model import batch_probs
+from fedsim.model import _layer_views, batch_probs, row_losses
 
-from conftest import LabeledExample, finite_difference_check, forward, gaussian_batch, stack
+from conftest import (
+    LabeledExample,
+    finite_difference_check,
+    forward,
+    gaussian_batch,
+    reference_gradient,
+    stack,
+)
 
 
 def loss(spec, w, batch) -> float:
@@ -33,42 +40,18 @@ def concat(*batches):
     return tuple(np.concatenate(columns) for columns in zip(*batches))
 
 
-def reference_gradient(spec, w, X, y) -> np.ndarray:
-    """Reference for `gradient_from_arrays`: the same float operations in the
-    same order, written plainly (views sliced afresh, fresh products copied
-    into place), so the lean version must equal it bit for bit."""
-    def views(vector):
-        out, offset = [], 0
-        for fi, fo in zip(spec.layer_dims, spec.layer_dims[1:]):
-            out.append((vector[offset : offset + fi * fo].reshape(fi, fo),
-                        vector[offset + fi * fo : offset + fi * fo + fo]))
-            offset += fi * fo + fo
-        return out
+def reference_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Reference for `row_losses`: log-softmax with the row max and the sum
+    reduced along the class axis."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
-    layers = views(w)
-    a, caches = X, []
-    for weight, bias in layers[:-1]:
-        z = a @ weight + bias
-        caches.append((a, z))
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-    logits = a @ layers[-1][0] + layers[-1][1]
-    caches.append((a, None))
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    delta = e / e.sum(axis=-1, keepdims=True)
-    delta[np.arange(X.shape[0]), y] -= 1.0
-    delta /= X.shape[0]
-    grad = np.empty_like(w)
-    grad_views = views(grad)
-    for idx in range(len(layers) - 1, -1, -1):
-        a_in, _ = caches[idx]
-        grad_views[idx][0][...] = a_in.T @ delta
-        grad_views[idx][1][...] = delta.sum(axis=0)
-        if idx > 0:
-            z_prev = caches[idx - 1][1]
-            act_grad = (z_prev > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a_in * a_in
-            delta = (delta @ layers[idx][0].T) * act_grad
-    return grad
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Reference for `batch_probs`: softmax with the row max reduced along the class axis."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 class TestModelSpec:
@@ -242,10 +225,57 @@ class TestGradient:
         expected = reference_gradient(spec, w, X, y)
         assert gradient_from_arrays(spec, w, X, y).tobytes() == expected.tobytes()
 
+    @given(
+        dims=st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=4),
+        classes=st.integers(min_value=2, max_value=5),
+        activation=st.sampled_from(["relu", "tanh"]),
+        n=st.integers(min_value=1, max_value=33),
+        prebuilt=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_writes_into_the_given_buffer(self, dims, classes, activation, n, prebuilt, seed):
+        # a NaN left over anywhere in the buffer would show in the bytes
+        spec = ModelSpec((*dims, classes), activation=activation)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(spec.param_count)
+        X = rng.standard_normal((n, spec.feature_dim))
+        y = rng.integers(0, classes, size=n)
+        out = np.full(spec.param_count, np.nan)
+        views = dict(layers=_layer_views(spec, w), out_layers=_layer_views(spec, out)) if prebuilt else {}
+        assert gradient_from_arrays(spec, w, X, y, out=out, **views) is out
+        assert out.tobytes() == gradient_from_arrays(spec, w, X, y).tobytes()
+
     def test_same_shape_as_weights(self, rng):
         spec = ModelSpec((3, 4, 2))
         w = rng.standard_normal(spec.param_count)
         assert gradient(spec, w, gaussian_batch(rng, spec, 4)).shape == w.shape
+
+
+class TestSoftmaxFamily:
+    """`row_losses` and `batch_probs` take the row max column by column; they
+    must equal the class-axis reductions bit for bit."""
+
+    @given(
+        classes=st.integers(min_value=2, max_value=5),
+        n=st.integers(min_value=1, max_value=33),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_class_axis_reductions(self, classes, n, seed):
+        # an identity layer passes X through as the logits: ties (0.0, -0.0,
+        # small integers) and magnitudes up to 700 in every column
+        spec = ModelSpec((classes, classes))
+        rng = np.random.default_rng(seed)
+        w = np.concatenate([np.eye(classes).ravel(), np.zeros(classes)])
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 700.0, -700.0])
+        shape = (n, classes)
+        X = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.uniform(-700.0, 700.0, shape))
+        y = rng.integers(0, classes, size=n)
+        logits = X @ w[: classes * classes].reshape(classes, classes) + w[classes * classes :]
+        expected_losses = -reference_log_softmax(logits)[np.arange(n), y]
+        assert row_losses(spec, w, X, y).tobytes() == expected_losses.tobytes()
+        assert batch_probs(spec, w, X).tobytes() == reference_softmax(logits).tobytes()
 
 
 class TestFiniteDifferenceCheck:
