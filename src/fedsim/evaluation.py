@@ -50,6 +50,7 @@ class OperatingPoint:
     recall: float
     fah: float
     feasible: bool = True
+    """Always True: TAU_ABOVE_ALL triggers nothing, and FAH 0 is within every (positive) budget."""
 
 
 def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -60,32 +61,53 @@ def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
 def operating_point(
     scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, targets: EvalTargets
 ) -> OperatingPoint:
-    """Threshold maximizing recall subject to FAH <= budget.
+    """The threshold maximizing recall subject to FAH <= budget: operating_points of one segment."""
+    tau, recall, fah = operating_points(scores, labels, durations, [len(scores)], targets)
+    return OperatingPoint(tau=tau.item(), recall=recall.item(), fah=fah.item())
 
-    Candidate thresholds are the observed scores plus a sentinel above all of
-    them, so the search is finite and exact. Ties in recall break toward the
-    larger threshold (fewer false alarms).
+
+def operating_points(
+    scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, sizes, targets: EvalTargets
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, recall, FAH) of every segment, segment s owning the next sizes[s]
+    rows: the threshold maximizing recall subject to FAH <= budget among the
+    segment's scores and TAU_ABOVE_ALL, ties toward the larger, exactly.
+    Recall and FAH fall as the threshold rises. So with k the most false
+    alarms that k / neg_hours <= budget allows, the thresholds within budget
+    lie above v, the (k+1)-th largest negative score (-inf if k covers them
+    all); the recall is the share of positives above v, and tau the smallest
+    of their scores (TAU_ABOVE_ALL if none). Only v needs a sort.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(labels) == POSITIVE_LABEL
-    pos_sorted = np.sort(scores[positive])
-    neg_sorted = np.sort(scores[~positive])
-    n_pos, n_neg = len(pos_sorted), len(neg_sorted)
-    if not n_pos or not n_neg:
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    pos_owner, neg_owner = owner[positive], owner[~positive]
+    pos_scores, neg_scores = scores[positive], scores[~positive]
+    n_pos, n_neg = (np.bincount(segment, minlength=len(sizes)) for segment in (pos_owner, neg_owner))
+    if not (n_pos.all() and n_neg.all()):
         raise ValueError("operating point needs at least one positive and one negative example")
-    # summed left to right, as a reference loop over the examples would
-    neg_hours = sum(np.asarray(durations, dtype=np.float64)[~positive].tolist()) / 3600.0
-    if neg_hours <= 0:
+    neg_start = np.cumsum(n_neg) - n_neg
+    # summed left to right per segment, as a reference loop over the examples would
+    neg_durations = np.asarray(durations, dtype=np.float64)[~positive].tolist()
+    spans = zip(neg_start.tolist(), n_neg.tolist())
+    neg_hours = np.array([sum(neg_durations[s : s + n]) for s, n in spans], dtype=np.float64) / 3600.0
+    if not (neg_hours > 0).all():
         raise ValueError("total negative duration must be positive")
-
-    candidates = np.append(np.unique(scores), TAU_ABOVE_ALL)
-    recall = (n_pos - np.searchsorted(pos_sorted, candidates, side="left")) / n_pos
-    fah = (n_neg - np.searchsorted(neg_sorted, candidates, side="left")) / neg_hours
-    feasible = np.flatnonzero(fah <= targets.fah_budget)
-    if not feasible.size:
-        return OperatingPoint(tau=TAU_ABOVE_ALL, recall=0.0, fah=0.0, feasible=False)
-    best = feasible[recall[feasible] == recall[feasible].max()][-1]
-    return OperatingPoint(tau=float(candidates[best]), recall=float(recall[best]), fah=float(fah[best]))
+    # a segment's j-th false alarm (j from 1) is within budget iff j / neg_hours is
+    rank = np.arange(1, len(neg_owner) + 1) - neg_start[neg_owner]
+    k = np.bincount(neg_owner[rank / neg_hours[neg_owner] <= targets.fah_budget], minlength=len(sizes))
+    # complex numbers sort by real part, then imaginary: by segment, then score
+    keys = np.empty(len(neg_owner), dtype=np.complex128)
+    keys.real, keys.imag = neg_owner, neg_scores
+    neg_sorted = np.sort(keys).imag
+    # (where k covers every negative, the index is a neighbour's and unread)
+    v = np.where(k < n_neg, neg_sorted[neg_start + n_neg - 1 - k], -np.inf)
+    # positives come segment by segment, every segment holding one
+    above = pos_scores > v[pos_owner]
+    tau = np.minimum.reduceat(np.where(above, pos_scores, TAU_ABOVE_ALL), np.cumsum(n_pos) - n_pos)
+    hits = np.bincount(pos_owner[above], minlength=len(sizes))
+    false_alarms = np.bincount(neg_owner[neg_scores >= tau[neg_owner]], minlength=len(sizes))
+    return tau, hits / n_pos, false_alarms / neg_hours
 
 
 def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
@@ -104,49 +126,10 @@ def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
     return np.split(rows, starts[first][1:])
 
 
-def segmented_recall(
-    scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, sizes, targets: EvalTargets
-) -> np.ndarray:
-    """operating_point(...).recall of every user, exactly, where user u owns
-    the next sizes[u] rows, holds a positive and has negative hours above 0.
-
-    FAH and recall both fall as the threshold rises, so the best feasible
-    threshold is the smallest candidate within budget. With k the largest
-    count of false alarms with k / neg_hours <= budget (operating_point's
-    expression), that threshold lies just above v, the user's (k+1)-th
-    largest negative score (-inf when k covers every negative), and the
-    recall is the share of positives scoring above v. Only v depends on the
-    scores: one sort of all negatives by (user, score), then one bincount.
-    """
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    positive = labels == POSITIVE_LABEL
-    pos_owner, neg_owner = owner[positive], owner[~positive]
-    n_pos = np.bincount(pos_owner, minlength=len(sizes))
-    n_neg = np.bincount(neg_owner, minlength=len(sizes))
-    neg_start = np.cumsum(n_neg) - n_neg
-    # summed left to right per user, as operating_point does
-    neg_durations = durations[~positive].tolist()
-    spans = zip(neg_start.tolist(), n_neg.tolist())
-    neg_hours = np.array([sum(neg_durations[s : s + n]) for s, n in spans], dtype=np.float64) / 3600.0
-    if not (n_pos.all() and (neg_hours > 0).all()):
-        raise ValueError("every user needs a positive and a negative of positive duration")
-    # a user's j-th false alarm (j from 1) is within budget iff j / neg_hours is
-    rank = np.arange(1, len(neg_owner) + 1) - neg_start[neg_owner]
-    k = np.bincount(neg_owner[rank / neg_hours[neg_owner] <= targets.fah_budget], minlength=len(sizes))
-
-    # complex numbers sort by real part, then imaginary: by user, then score
-    neg_sorted = np.sort(neg_owner + 1j * scores[~positive]).imag
-    v = np.full(len(sizes), -np.inf)
-    capped = k < n_neg
-    v[capped] = neg_sorted[(neg_start + n_neg - 1 - k)[capped]]
-    hits = np.bincount(pos_owner[scores[positive] > v[pos_owner]], minlength=len(sizes))
-    return hits / n_pos
-
-
 def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.ndarray, np.ndarray, list]:
     """(rows to score, in ascending user id; sizes of the segments whose
     recalls are found; users skipped). A segment is one user (federated) or
-    every given user's rows (pooled). It is usable, as segmented_recall
+    every given user's rows (pooled). It is usable, as operating_points
     needs, when it holds a positive and its negative durations, summed and
     divided by 3600, are positive; federated evaluation skips the users that
     are not. EvaluationError when no segment is usable.
@@ -174,13 +157,13 @@ def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.nd
 
 
 def _segment_recalls(spec, w, federation, user_ids, targets, pooled) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and recalls of the eval_segments segments: the rows scored in
-    runs of whole users (row_chunks), every recall found in one search."""
+    """Sizes and recalls of the eval_segments segments: the rows scored in runs
+    of whole users (row_chunks), every segment's operating point in one search."""
     rows, sizes, skipped = eval_segments(federation, user_ids, pooled)
     if skipped:
         logger.info("federated_eval skipped %d user(s) without both classes: %s", len(skipped), skipped)
     scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in row_chunks(rows, sizes)])
-    return sizes, segmented_recall(scores, federation.y[rows], federation.duration[rows], sizes, targets)
+    return sizes, operating_points(scores, federation.y[rows], federation.duration[rows], sizes, targets)[1]
 
 
 def federated_eval(

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from fedsim import ClientPartition, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
+from fedsim import POSITIVE_LABEL, ClientPartition, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
 from fedsim.model import batch_probs
 
 
@@ -125,6 +126,45 @@ def reference_gradient(spec, w, X, y) -> np.ndarray:
             act_grad = (z_prev > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a_in * a_in
             delta = (delta @ layers[idx][0].T) * act_grad
     return grad
+
+
+def brute_force_operating_point(scores, labels, durations, targets):
+    """Exhaustive reference: evaluate every candidate threshold by direct counting."""
+    scored = list(zip(scores.tolist(), labels.tolist(), durations.tolist()))
+    pos = [s for s, label, _ in scored if label == POSITIVE_LABEL]
+    neg = [(s, d) for s, label, d in scored if label != POSITIVE_LABEL]
+    neg_hours = sum(d for _, d in neg) / 3600.0
+    candidates = sorted(set(s for s, _, _ in scored))
+    candidates.append(math.nextafter(1.0, 2.0))
+    best = None
+    for tau in candidates:
+        hits = sum(1 for s in pos if s >= tau)
+        false_alarms = sum(1 for s, _ in neg if s >= tau)
+        recall = hits / len(pos)
+        fah = false_alarms / neg_hours
+        if fah > targets.fah_budget:
+            continue
+        if best is None or recall > best[1] or (recall == best[1] and tau > best[0]):
+            best = (tau, recall, fah)
+    return best
+
+
+def scored(examples):
+    """(scores, labels, durations) arrays of (score, label, duration) triples."""
+    scores, labels, durations = zip(*examples)
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.intp), np.array(durations)
+
+
+def scored_set(rng, n, duration_low=0.5, duration_high=5.0):
+    out = []
+    for _ in range(n):
+        out.append(
+            (float(rng.random()), int(rng.integers(0, 2)), float(rng.uniform(duration_low, duration_high)))
+        )
+    # ensure both classes exist
+    out.append((float(rng.random()), 1, 1.0))
+    out.append((float(rng.random()), 0, 1.0))
+    return scored(out)
 
 
 @pytest.fixture

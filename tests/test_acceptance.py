@@ -35,8 +35,7 @@ from fedsim import (
 from fedsim.experiment import config_from_dict, run_experiment
 from fedsim.server import RoundConfig, run_round
 
-from conftest import LabeledExample, finite_difference_check, stack
-from test_evaluation import brute_force_operating_point, scored_set
+from conftest import LabeledExample, brute_force_operating_point, finite_difference_check, scored_set, stack
 from fedsim.evaluation import EvalTargets, operating_point
 
 

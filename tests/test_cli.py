@@ -58,11 +58,11 @@ def diverging_config(path: Path, case: str) -> str:
     return pattern
 
 
-def run_cli_subprocess(*args: str) -> subprocess.CompletedProcess:
-    """`python -m fedsim.cli *args` on this source tree. Outside pytest
-    nothing captures numpy's warnings, so stderr shows all of them."""
+def run_cli_subprocess(*args: str, environ=os.environ) -> subprocess.CompletedProcess:
+    """`python -m fedsim.cli *args` on this source tree, in environ. Outside
+    pytest nothing captures numpy's warnings, so stderr shows all of them."""
     src = str(Path(fedsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "fedsim.cli", *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -250,6 +250,34 @@ def test_failed_run_removes_an_earlier_runs_output(config_file, capsys, command)
     assert main([command, "--config", str(path), *args]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not any((tmp_path / "out" / name).exists() for name in files)
+
+
+@pytest.mark.parametrize("eval_mode", ["federated", "pooled"])
+def test_metrics_csv_does_not_depend_on_blas_threads(config_file, eval_mode):
+    # hidden layers and full batches, so the evaluation passes (up to 512
+    # rows) and the larger clients' gradient products are big enough for
+    # OpenBLAS to split them over threads
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text()) | {
+        "federation": {"synthesize": {"user_count": 120, "size_mean": 30.0, "size_std": 20.0,
+                                      "feature_dim": 40, "positive_rate": 0.3}},
+        "model": {"layer_dims": [40, 64, 64, 2]},
+        "local": {"epochs": 1, "batch_size": None, "eta_local": 0.05},
+        "participation": 0.2,
+        "max_rounds": 3,
+        "targets": {"fah_budget": 300.0, "recall_target": 1.0},
+        "eval_mode": eval_mode,
+    }
+    path.write_text(json.dumps(raw))
+    default = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = []
+    for name, environ in (("default", default), ("one", default | {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        proc = run_cli_subprocess("run", "--config", str(path), "--output-dir", str(out), environ=environ)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4
 
 
 def test_verbose_logs_one_line_per_evaluation(config_file, caplog):

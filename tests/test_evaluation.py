@@ -26,49 +26,10 @@ from fedsim import (
     score_examples,
     synthesize_federation,
 )
-from fedsim.evaluation import eval_segments, row_chunks, segmented_recall
+from fedsim.evaluation import eval_segments, operating_points, row_chunks
 from fedsim.server import cohort_loss, pool_row_losses
 
-from conftest import LabeledExample, forward, make_federation
-
-
-def brute_force_operating_point(scores, labels, durations, targets):
-    """Exhaustive reference: evaluate every candidate threshold by direct counting."""
-    scored = list(zip(scores.tolist(), labels.tolist(), durations.tolist()))
-    pos = [s for s, label, _ in scored if label == POSITIVE_LABEL]
-    neg = [(s, d) for s, label, d in scored if label != POSITIVE_LABEL]
-    neg_hours = sum(d for _, d in neg) / 3600.0
-    candidates = sorted(set(s for s, _, _ in scored))
-    candidates.append(math.nextafter(1.0, 2.0))
-    best = None
-    for tau in candidates:
-        hits = sum(1 for s in pos if s >= tau)
-        false_alarms = sum(1 for s, _ in neg if s >= tau)
-        recall = hits / len(pos)
-        fah = false_alarms / neg_hours
-        if fah > targets.fah_budget:
-            continue
-        if best is None or recall > best[1] or (recall == best[1] and tau > best[0]):
-            best = (tau, recall, fah)
-    return best
-
-
-def scored(examples):
-    """(scores, labels, durations) arrays of (score, label, duration) triples."""
-    scores, labels, durations = zip(*examples)
-    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.intp), np.array(durations)
-
-
-def scored_set(rng, n, duration_low=0.5, duration_high=5.0):
-    out = []
-    for _ in range(n):
-        out.append(
-            (float(rng.random()), int(rng.integers(0, 2)), float(rng.uniform(duration_low, duration_high)))
-        )
-    # ensure both classes exist
-    out.append((float(rng.random()), 1, 1.0))
-    out.append((float(rng.random()), 0, 1.0))
-    return scored(out)
+from conftest import LabeledExample, brute_force_operating_point, forward, make_federation, scored, scored_set
 
 
 class TestScoreExamples:
@@ -162,13 +123,14 @@ class TestOperatingPoint:
         assert half_budget.fah == point.fah / 2.0
 
     def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
+        message = "^operating point needs at least one positive and one negative example$"
+        with pytest.raises(ValueError, match=message):
             operating_point(*scored([(0.5, 1, 1.0)]), EvalTargets())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             operating_point(*scored([(0.5, 0, 1.0)]), EvalTargets())
 
     def test_zero_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total negative duration must be positive$"):
             operating_point(*scored([(0.9, 1, 1.0), (0.1, 0, 0.0)]), EvalTargets())
 
 
@@ -270,7 +232,7 @@ class TestPooledEval:
         fed = two_user_federation()
         parts = [fed.partition(uid) for uid in (1, 2)]
         X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
-        expected = operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, EvalTargets()).recall
+        expected = brute_force_operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, EvalTargets())[1]
         assert pooled_eval(SPEC_1D, W_1D, fed, [1, 2], EvalTargets()) == expected
 
     def test_unusable_pool_raises(self):
@@ -345,19 +307,19 @@ class TestSegments:
 
 
 def usable(labels, durations) -> bool:
-    """Whether operating_point can take this user's rows."""
+    """Whether the operating-point search can take this user's rows."""
     negative = labels != POSITIVE_LABEL
     return bool(negative.any() and not negative.all() and (durations[negative] > 0).any())
 
 
 def per_user_federated_eval(spec, w, federation, eval_user_ids, targets):
-    """federated_eval as one score_examples and one operating_point per user."""
+    """federated_eval as one score_examples and one brute-force search per user."""
     acc, total = 0.0, 0
     for uid in sorted(eval_user_ids):
         part = federation.partition(uid)
         if usable(part.y, part.duration):
-            point = operating_point(score_examples(spec, w, part.X), part.y, part.duration, targets)
-            acc += part.size * point.recall
+            _, recall, _ = brute_force_operating_point(score_examples(spec, w, part.X), part.y, part.duration, targets)
+            acc += part.size * recall
             total += part.size
     return acc / total
 
@@ -391,11 +353,11 @@ class TestSegmentedRecall:
             neg_hours = sum(durations[negative].tolist()) / 3600.0
             budget = (1 + pick % int(negative.sum())) / neg_hours
         targets = EvalTargets(fah_budget=budget)
-        expected = [operating_point(*u, targets).recall for u in kept]
-        got = segmented_recall(
+        expected = [brute_force_operating_point(*u, targets) for u in kept]
+        tau, recall, fah = operating_points(
             *(np.concatenate(column) for column in zip(*kept)), [len(u[0]) for u in kept], targets
         )
-        assert got.tolist() == expected
+        assert list(zip(tau.tolist(), recall.tolist(), fah.tolist())) == expected
 
     @given(
         users=st.lists(
@@ -422,10 +384,10 @@ class TestSegmentedRecall:
             else:
                 with pytest.raises(EvaluationError):
                     federated_eval(SPEC_1D, W_1D, federation, ids, targets)
-            # the pooled leg: the pool's recall as operating_point finds it on the pooled rows
+            # the pooled leg: the pool's recall as the brute-force search finds it on the pooled rows
             X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
             if usable(y, duration):
-                expected = operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, targets).recall
+                expected = brute_force_operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, targets)[1]
                 assert pooled_eval(SPEC_1D, W_1D, federation, ids, targets) == expected
             else:
                 with pytest.raises(EvaluationError):
@@ -469,7 +431,7 @@ class TestSegmentedRecall:
             y, duration = federation.y[rows], federation.duration[rows]
             try:
                 with np.errstate(over="ignore"):  # j / a subnormal number of hours is inf
-                    segmented_recall(np.zeros(len(rows)), y, duration, [len(rows)], EvalTargets())
+                    operating_points(np.zeros(len(rows)), y, duration, [len(rows)], EvalTargets())
             except ValueError:
                 return False
             return True
@@ -486,8 +448,8 @@ class TestSegmentedRecall:
 
     def test_user_without_negative_time_rejected(self):
         scores, labels, durations = scored([(0.9, 1, 1.0), (0.1, 0, 0.0)])
-        with pytest.raises(ValueError):
-            segmented_recall(scores, labels, durations, [2], EvalTargets())
+        with pytest.raises(ValueError, match="^total negative duration must be positive$"):
+            operating_points(scores, labels, durations, [2], EvalTargets())
 
 
 class TestChunkedPasses:

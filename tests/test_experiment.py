@@ -296,6 +296,22 @@ class TestRunExperiment:
         assert full.startswith(partial)
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_failed_report_write_leaves_no_report(self, tmp_path, monkeypatch):
+        # json.dump fails after writing part of the report: metrics.csv stays
+        # complete, and neither a truncated report.json nor its partial file is left
+        out = tmp_path / "out"
+        raw = base_raw(max_rounds=3, output_dir=str(out))
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            raise OSError("injected: disk full")
+
+        monkeypatch.setattr(fedsim.experiment.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="injected"):
+            run_experiment(config_from_dict(raw))
+        assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+        assert len((out / "metrics.csv").read_bytes().splitlines()) == 4
+
     def test_early_stop_round_stable_under_larger_cap(self):
         short = run_experiment(config_from_dict(base_raw(max_rounds=30)))
         long = run_experiment(config_from_dict(base_raw(max_rounds=120)))
