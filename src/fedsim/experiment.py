@@ -32,6 +32,7 @@ from .data import (
     Federation,
     FederationSpec,
     load_federation,
+    replacing,
     split_users,
     synthesize_federation,
 )
@@ -294,18 +295,12 @@ def _write_row(path: Path, header: list, row: list, first: bool) -> None:
 
 
 def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]) -> ExperimentResult:
-    """Write report.json when output_dir is set: to a file beside it, then
-    renamed over it, so a failed write leaves no truncated report.json."""
+    """Write report.json when output_dir is set, through `replacing`, so a
+    failed write leaves no truncated report.json."""
     if config.output_dir is not None:
-        path = Path(config.output_dir) / "report.json"
-        partial = path.with_name("report.json.partial")
-        try:
-            with partial.open("w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            partial.replace(path)  # os.replace: atomic
-        finally:
-            partial.unlink(missing_ok=True)
+        with replacing(Path(config.output_dir) / "report.json") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return ExperimentResult(report=report, metrics=metrics)
 
 

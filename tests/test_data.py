@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fedsim.data
 from fedsim import (
     ConfigError,
     Federation,
@@ -19,6 +24,9 @@ from fedsim import (
 )
 
 from conftest import LabeledExample, make_federation
+from fedsim.data import LOAD_BLOCK_LINES
+
+FEDFILE = Path(__file__).resolve().parents[1] / "bench" / "fedfile.py"
 
 
 def example(value: float = 0.0, label: int = 0, duration: float = 2.0, dim: int = 2) -> LabeledExample:
@@ -138,6 +146,37 @@ class TestFederationFile:
         path = tmp_path / "federation.jsonl"
         save_federation(fed, path)
         assert load_federation(path) == fed
+        assert load_outcome(load_federation, path) == load_outcome(fedsim.data._load_lines, path)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the write fails after some records: the file already there stays whole
+        # and no partial file is left, so no truncated file loads as a smaller federation
+        path = tmp_path / "federation.jsonl"
+        old = synthesize_federation(FederationSpec(user_count=9, feature_dim=3), seed=1)
+        save_federation(old, path)
+        real, calls = json.dumps, []
+
+        def failing_dumps(obj, **kwargs):
+            calls.append(obj)
+            if len(calls) > 20:
+                raise OSError("injected: disk full")
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(fedsim.data.json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="injected"):
+            save_federation(synthesize_federation(FederationSpec(user_count=9, feature_dim=3), seed=2), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["federation.jsonl"]
+        assert load_federation(path) == old
+
+    @pytest.mark.parametrize("column, value", [("X", np.nan), ("X", np.inf), ("duration", np.inf)])
+    def test_save_rejects_non_finite_values(self, tmp_path, column, value):
+        # the loader would reject the NaN or infinity written, so nothing is written
+        fed = tiny_federation()
+        getattr(fed, column)[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            save_federation(fed, tmp_path / "federation.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_user_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -210,6 +249,257 @@ class TestFederationFile:
             path.write_text(json.dumps(header) + "\n" + record + "\n")
             with pytest.raises(FederationFormatError, match="line 1"):
                 load_federation(path)
+
+
+def load_outcome(load, path):
+    """What a loader makes of a file: its error (type, message, line) or its arrays' dtypes and bytes."""
+    try:
+        fed = load(path)
+    except Exception as exc:  # any outcome is compared
+        return type(exc), str(exc), getattr(exc, "line", None)
+    arrays = (fed.X, fed.y, fed.duration, fed.user_ids, fed.offsets)
+    return fed.class_count, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def federation_records(rng: np.random.Generator, user_count: int, feature_dim: int, class_count: int) -> list[dict]:
+    """Records of a valid federation, users in runs of 1-40 records."""
+    records = []
+    for user_id in rng.permutation(user_count * 3)[:user_count].tolist():
+        for _ in range(int(rng.integers(1, 41))):
+            records.append({
+                "user_id": user_id,
+                "features": rng.standard_normal(feature_dim).tolist(),
+                "label": int(rng.integers(0, class_count)),
+                "duration_s": float(rng.uniform(0.0, 4.0)),
+            })
+    return records
+
+
+def no_per_line_loop(path):
+    raise AssertionError("the per-line loop ran on a plain file")
+
+
+def write_lines(path, lines, newline="\n"):
+    path.write_bytes(newline.join(lines + [""]).encode("utf-8"))  # as given: no newline translation
+    return path
+
+
+def render(header: dict, records) -> list[str]:
+    """A federation file's lines: the header, then one record a line."""
+    return [json.dumps(header)] + [json.dumps(r) for r in records]
+
+
+# Defects for the block loader: each takes a valid file's header and records
+# and returns the file's lines, with one defect (or a valid variation) in them.
+
+def set_field(value):
+    """One field of one record, or one of its features, becomes `value`."""
+
+    def defect(header, records, rng):
+        r = records[rng.integers(len(records))]
+        key = ["user_id", "features", "label", "duration_s"][rng.integers(4)]
+        if key == "features":
+            r["features"][rng.integers(len(r["features"]))] = value
+        else:
+            r[key] = value
+        return render(header, records)
+
+    return defect
+
+
+def integer_features(header, records, rng):
+    for r in records[rng.integers(len(records)):]:  # from one record on, often whole blocks
+        r["features"] = [int(v * 1e6) * 2**40 for v in r["features"]]
+    return render(header, records)
+
+
+def scalar_as_list(header, records, rng):
+    key = ["user_id", "label", "duration_s"][rng.integers(3)]
+    for r in records if rng.integers(2) else records[-1:]:  # in every record or in one
+        r[key] = [r[key]]
+    return render(header, records)
+
+
+def extra_key(header, records, rng):
+    records[rng.integers(len(records))]["notes"] = 1
+    return render(header, records)
+
+
+def header_dim_mismatch(header, records, rng):
+    return render({**header, "feature_dim": header["feature_dim"] + int(rng.choice([-1, 1]))}, records)
+
+
+def header_split(header, records, rng):
+    # valid JSON with the header's keys, which str.splitlines breaks in two
+    return ['{"feature_dim": "\u2028", ' + render(header, records)[0][1:]] + render(header, records)[1:]
+
+
+def reappearing_user(header, records, rng):
+    return render(header, records + [dict(records[0])])
+
+
+def insert_lines(*choices):
+    def defect(header, records, rng):
+        lines = render(header, records)
+        for _ in range(rng.integers(1, 4)):
+            lines.insert(rng.integers(1, len(lines) + 1), choices[rng.integers(len(choices))])
+        return lines
+
+    return defect
+
+
+def long_blank_run(header, records, rng):
+    lines = render(header, records)
+    lines.insert(rng.integers(1, len(lines) + 1), "\n" * (LOAD_BLOCK_LINES + rng.integers(1, 50)))
+    return lines
+
+
+def char_in_line(char):
+    """`char` at a random place of a random line, the header's end included."""
+
+    def defect(header, records, rng):
+        lines = render(header, records)
+        i = rng.integers(len(lines))
+        at = rng.choice([0, len(lines[i]), rng.integers(len(lines[i]) + 1)])
+        lines[i] = lines[i][:at] + char + lines[i][at:]
+        return lines
+
+    return defect
+
+
+def split_record(header, records, rng):
+    lines = render(header, records)
+    i = rng.integers(1, len(lines))
+    cut = lines[i].index(', "label"')
+    lines[i : i + 1] = [lines[i][: cut + 1], lines[i][cut + 1 :]]
+    return lines
+
+
+def three_line_construction(header, records, rng):
+    # three more records of the last user, rejoined as three lines whose middle
+    # one holds `...}, {...`: the joined text decodes to as many records as lines
+    lines = render(header, records + [records[-1]] * 3)
+    a, b, c = lines[-3:]
+    ca, cc = a.index(', "label"'), c.index(', "label"')
+    lines[-3:] = [a[:ca], a[ca + 2 :] + ", " + b + ", " + c[:cc], c[cc + 2 :]]
+    return lines
+
+
+def duplicate_key(header, records, rng):
+    lines = render(header, records)
+    i = rng.integers(1, len(lines))
+    key, value = [("user_id", "7"), ("label", "0"), ("user_id", '"x"'), ("duration_s", "true"),
+                  ("user_id", '"\u2028"'), ("label", '"\x85"')][rng.integers(6)]
+    lines[i] = '{"%s": %s, ' % (key, value) + lines[i][1:]
+    return lines
+
+
+def deep_nesting_after_a_boolean(header, records, rng):
+    # the block's decode overflows the stack; the per-line loop stops at the boolean first
+    records[0]["label"] = True
+    lines = render(header, records)
+    lines[-1] = lines[-1].replace("[", "[" * 5000, 1).replace("]", "]" * 5000, 1)
+    return lines
+
+
+DEFECTS = {
+    "none": lambda header, records, rng: render(header, records),
+    "true": set_field(True),
+    "false": set_field(False),
+    "null": set_field(None),
+    "number_as_string": set_field("1.5"),
+    "integer_as_string": set_field("1"),
+    "integer_features": integer_features,
+    "negative_zero": set_field(-0.0),
+    "two_to_63": set_field(2**63),
+    "ten_to_400": set_field(10**400),
+    "nan": set_field(float("nan")),
+    "infinity": set_field(float("inf")),
+    "minus_infinity": set_field(float("-inf")),
+    "blank_lines": insert_lines("", " ", "\t \t", "\xa0", "\x0c", "\u2028"),
+    "long_blank_run": long_blank_run,
+    "crlf": char_in_line("\r\n"),
+    "lone_cr": char_in_line("\r"),
+    "form_feed": char_in_line("\x0c"),
+    "line_separator": char_in_line("\u2028"),
+    "next_line": char_in_line("\x85"),
+    "no_break_space": char_in_line("\xa0"),
+    "record_split": split_record,
+    "three_line_construction": three_line_construction,
+    "reappearing_user": reappearing_user,
+    "duplicate_key": duplicate_key,
+    "scalar_as_list": scalar_as_list,
+    "extra_key": extra_key,
+    "header_dim_mismatch": header_dim_mismatch,
+    "header_split": header_split,
+    "deep_nesting_after_a_boolean": deep_nesting_after_a_boolean,
+}
+
+
+class TestBlockLoad:
+    """load_federation's block decode against the per-line loop, the one home of its errors."""
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        user_count=st.integers(1, 30),
+        feature_dim=st.integers(1, 3),
+        class_count=st.integers(2, 3),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_per_line_loop(self, tmp_path_factory, defect, seed, user_count, feature_dim, class_count):
+        rng = np.random.default_rng(seed)
+        records = federation_records(rng, user_count, feature_dim, class_count)
+        header = {"feature_dim": feature_dim, "class_count": class_count}
+        path = write_lines(tmp_path_factory.mktemp("defect") / "federation.jsonl", DEFECTS[defect](header, records, rng))
+        assert load_outcome(load_federation, path) == load_outcome(fedsim.data._load_lines, path)
+
+    def test_plain_files_skip_the_per_line_loop(self, tmp_path, monkeypatch):
+        # what a valid file may hold besides plain records loads without the per-line loop:
+        # a block of integer features only, -0.0, mixed ints and floats, JSON
+        # whitespace around a record, blank lines, and any of the three newlines
+        records = federation_records(np.random.default_rng(5), 60, 2, 2)
+        for r in records[: LOAD_BLOCK_LINES + 9]:
+            r["features"] = [int(v * 1e6) * 2**40 for v in r["features"]]
+        records[-1]["features"] = [-0.0, 3]
+        lines = render({"feature_dim": 2, "class_count": 2}, records)
+        lines[5] = " \t" + lines[5] + " "
+        lines[7:7] = [""] * (2 * LOAD_BLOCK_LINES) + ["\xa0", " \t"]
+        expected = load_outcome(fedsim.data._load_lines, write_lines(tmp_path / "lf.jsonl", lines))
+        monkeypatch.setattr(fedsim.data, "_load_lines", no_per_line_loop)
+        for newline in ("\n", "\r\n", "\r"):
+            path = write_lines(tmp_path / "plain.jsonl", lines, newline)
+            assert load_outcome(load_federation, path) == expected, repr(newline)
+
+    def test_decodes_are_bounded(self, tmp_path, monkeypatch):
+        # a file of more than four blocks is never decoded more than one block at a time
+        records = federation_records(np.random.default_rng(6), 120, 2, 2)
+        assert len(records) > 4 * LOAD_BLOCK_LINES
+        path = write_lines(tmp_path / "big.jsonl", render({"feature_dim": 2, "class_count": 2}, records))
+        real, counts = json.loads, []
+
+        def counted(text, *args, **kwargs):
+            obj = real(text, *args, **kwargs)
+            counts.append(len(obj) if isinstance(obj, list) else 1)
+            return obj
+
+        monkeypatch.setattr(fedsim.data.json, "loads", counted)
+        fed = load_federation(path)
+        assert fed.total_examples == len(records) == sum(counts) - 1  # the header is one decode
+        assert max(counts) == LOAD_BLOCK_LINES
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_file_equals_per_line_loop(self, tmp_path, monkeypatch, seed):
+        spec = importlib.util.spec_from_file_location("bench_fedfile", FEDFILE)
+        fedfile = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fedfile)
+        path = tmp_path / "federation.jsonl"
+        fedfile.write_federation(path, seed)
+        expected = load_outcome(fedsim.data._load_lines, path)
+        monkeypatch.setattr(fedsim.data, "_load_lines", no_per_line_loop)
+        assert load_outcome(load_federation, path) == expected
+
+
 
 
 class TestPartitionStats:
