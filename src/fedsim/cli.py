@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
-from .experiment import ExperimentConfig, load_config, run_baseline, run_experiment, sweep
+from .experiment import ExperimentConfig, load_config, read_json, run_baseline, run_experiment, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,12 +67,7 @@ def main(argv=None) -> int:
             )
         else:
             config = _load(args)
-            grid_path = Path(args.grid)
-            try:
-                grid = json.loads(grid_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{grid_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
-            rows = sweep(config, grid)
+            rows = sweep(config, read_json(args.grid))
             print(f"sweep complete: {len(rows)} rows -> {config.output_dir / 'sweep.csv'}")
     except (ValueError, EvaluationError, FloatingPointError, OSError) as exc:
         # ValueError includes ConfigError and FederationFormatError;

@@ -288,14 +288,22 @@ _RECORD_KEYS = {"user_id", "features", "label", "duration_s"}
 # when -_FLOAT_MAX <= x <= _FLOAT_MAX: false for NaN, the infinities Python's
 # json accepts, and integers too large for a float.
 _FLOAT_MAX = sys.float_info.max
+_ID_RANGE = np.iinfo(np.intp)  # user ids are stored as intp
+
+
+def _decode(raw: str, line_no: int, what: str):
+    """json.loads of one line; a failure is a FederationFormatError naming the line."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise FederationFormatError(f"invalid {what}: {exc.msg}", line=line_no) from None
+    except RecursionError:
+        raise FederationFormatError(f"invalid {what}: nested too deeply", line=line_no) from None
 
 
 def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) -> tuple[int, list, int, float]:
     """(user_id, features, label, duration_s) of one validated record line."""
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FederationFormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+    obj = _decode(raw, line_no, "JSON")
     if not isinstance(obj, dict) or set(obj) != _RECORD_KEYS:
         raise FederationFormatError(
             f"record must have exactly keys {sorted(_RECORD_KEYS)}", line=line_no
@@ -304,8 +312,8 @@ def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) ->
     features = obj["features"]
     label = obj["label"]
     duration = obj["duration_s"]
-    if type(user_id) is not int:
-        raise FederationFormatError("user_id must be an integer", line=line_no)
+    if type(user_id) is not int or not _ID_RANGE.min <= user_id <= _ID_RANGE.max:
+        raise FederationFormatError(f"user_id must be an {_ID_RANGE.dtype} integer", line=line_no)
     if type(label) is not int or not 0 <= label < class_count:
         raise FederationFormatError(f"label must be an integer in [0, {class_count})", line=line_no)
     if not isinstance(features, list) or len(features) != feature_dim:
@@ -326,10 +334,7 @@ LOAD_BLOCK_LINES = 512
 
 def _parse_header(raw: str) -> tuple[int, int]:
     """(feature_dim, class_count) of a validated header line."""
-    try:
-        header = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FederationFormatError(f"invalid JSON header: {exc.msg}", line=1) from None
+    header = _decode(raw, 1, "JSON header")
     if not isinstance(header, dict) or set(header) != {"feature_dim", "class_count"}:
         raise FederationFormatError(
             'header must be {"feature_dim": int, "class_count": int}', line=1
@@ -344,31 +349,31 @@ def _parse_header(raw: str) -> tuple[int, int]:
 
 def _load_lines(path: Path) -> Federation:
     """load_federation's per-line loop, the one home of its errors and their line numbers."""
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or all(not line.strip() for line in lines):
-        raise ConfigError(f"{path}: empty federation file")
-    feature_dim, class_count = _parse_header(lines[0])
-
     features = array("d")  # row-major, feature_dim values a record
     labels: list[int] = []
     durations: list[float] = []
     user_ids: list[int] = []
     offsets: list[int] = []
     seen: set[int] = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        user_id, row, label, duration = _parse_record(raw, line_no, feature_dim, class_count)
-        if not user_ids or user_id != user_ids[-1]:
-            if user_id in seen:
-                raise FederationFormatError(f"duplicate user id {user_id}", line=line_no)
-            seen.add(user_id)
-            user_ids.append(user_id)
-            offsets.append(len(labels))
-        features.extend(row)
-        labels.append(label)
-        durations.append(duration)
+    with path.open("r", encoding="utf-8") as fh:
+        lines = (raw.removesuffix("\n") for raw in fh)  # universal newlines: \r\n and \r read as \n
+        head = next(lines, "")
+        if not head.strip() and not any(line.strip() for line in lines):
+            raise ConfigError(f"{path}: empty federation file")
+        feature_dim, class_count = _parse_header(head)
+        for line_no, raw in enumerate(lines, start=2):
+            if not raw.strip():
+                continue
+            user_id, row, label, duration = _parse_record(raw, line_no, feature_dim, class_count)
+            if not user_ids or user_id != user_ids[-1]:
+                if user_id in seen:
+                    raise FederationFormatError(f"duplicate user id {user_id}", line=line_no)
+                seen.add(user_id)
+                user_ids.append(user_id)
+                offsets.append(len(labels))
+            features.extend(row)
+            labels.append(label)
+            durations.append(duration)
 
     if not labels:
         raise ConfigError(f"{path}: federation file holds no examples")
@@ -410,8 +415,7 @@ def load_federation(path: str | Path) -> Federation:
                         and np.isfinite(X).all() and np.isfinite(duration).all()):
                     raise ValueError
                 blocks.append((uid, X, y, duration))
-        if not blocks or len(head.splitlines()) != 1:  # str.splitlines also breaks at \x0c, \u2028, ...
-            raise ValueError
+        # no block leaves nothing to unpack: a ValueError, as for any defect
         uid, X, y, duration = (np.concatenate(column) for column in zip(*blocks))
         starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
         return Federation(X, y, duration, uid[starts], np.append(starts, len(uid)), class_count)

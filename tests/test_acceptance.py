@@ -267,7 +267,6 @@ def test_operating_point_equals_brute_force_everywhere():
         assert point.tau == tau
         assert point.recall == recall
         assert point.fah == fah
-        assert point.feasible
 
 
 @criterion(10, "end-to-end determinism")

@@ -31,7 +31,7 @@ DIVERGING = {
     "eta_1e200_adam": (
         {"local": {"epochs": 1, "batch_size": None, "eta_local": 1e200},
          "strategy": {"kind": "adam", "eta_global": 0.001}},
-        ROUND_DIVERGED + r"pseudo-gradient norm or server moments not finite\n",
+        ROUND_DIVERGED + r"server weights or Adam moments not finite\n",
     ),
 }
 
@@ -41,12 +41,12 @@ DIVERGING = {
 DIVERGING_BASELINE = {
     "central_sgd": (
         {"local": {"epochs": 1, "batch_size": 4, "eta_local": 1e308}},
-        "weights or optimizer moments not finite",
+        "server weights or Adam moments not finite",
     ),
     "central_adam": (
         {"local": {"epochs": 1, "batch_size": 4, "eta_local": 0.01},
          "strategy": {"kind": "adam", "eta_global": 1e308}},
-        "adam averaging produced non-finite weights",
+        "server weights or Adam moments not finite",
     ),
 }
 
@@ -187,6 +187,28 @@ def test_failed_sweep_point_prints_one_line_in_a_subprocess(config_file):
                         proc.stderr), proc.stderr
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert rows[0] == "local.eta_local,round,dev_metric,train_loss_mean" and len(rows) > 1
+
+
+@pytest.mark.parametrize("target", ["config", "grid", "federation"])
+def test_deeply_nested_json_prints_one_line_in_a_subprocess(config_file, target):
+    # json.loads raises RecursionError on input nested this deep
+    path, tmp_path = config_file
+    nested = "[" * 100_000 + "]" * 100_000
+    grid, federation = tmp_path / "grid.json", tmp_path / "federation.jsonl"
+    grid.write_text(nested if target == "grid" else json.dumps({"participation": [1.0]}))
+    record = json.dumps({"user_id": 0, "features": [0.5, 0.5, 0.5], "label": 0, "duration_s": 1.0})
+    federation.write_text("\n".join([json.dumps({"feature_dim": 3, "class_count": 2}), record, nested, record]))
+    raw = json.loads(path.read_text()) | {"federation": {"load": str(federation)}}
+    path.write_text(nested if target == "config" else json.dumps(raw))
+    args = ["--config", str(path)] + (["--grid", str(grid)] if target == "grid" else [])
+    proc = run_cli_subprocess("sweep" if target == "grid" else "run", *args)
+    assert proc.returncode == 1
+    expected = {
+        "config": f"error: {path}: invalid JSON (nested too deeply)\n",
+        "grid": f"error: {grid}: invalid JSON (nested too deeply)\n",
+        "federation": "error: line 3: invalid JSON: nested too deeply\n",
+    }[target]
+    assert proc.stderr == expected, proc.stderr
 
 
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):

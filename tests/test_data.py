@@ -242,6 +242,22 @@ class TestFederationFile:
         with pytest.raises(FederationFormatError, match="line 2"):
             load_federation(path)
 
+    @pytest.mark.parametrize("user_id", [2**63, -(2**63) - 1])
+    def test_user_id_outside_intp_names_line(self, tmp_path, user_id):
+        record = {"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0}
+        lines = render({"feature_dim": 1, "class_count": 2}, [record, record | {"user_id": user_id}])
+        with pytest.raises(FederationFormatError, match="^line 3: user_id must be an int64 integer$") as exc_info:
+            load_federation(write_lines(tmp_path / "ids.jsonl", lines))
+        assert exc_info.value.line == 3
+
+    def test_form_feed_in_a_record_line_names_that_line(self, tmp_path):
+        # a form feed breaks no line: two records joined by one are one line, and not JSON
+        record = json.dumps({"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0})
+        lines = [json.dumps({"feature_dim": 1, "class_count": 2}), record, record + "\x0c" + record, record]
+        with pytest.raises(FederationFormatError, match="^line 3: invalid JSON: Extra data$") as exc_info:
+            load_federation(write_lines(tmp_path / "ff.jsonl", lines))
+        assert exc_info.value.line == 3
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "badheader.jsonl"
         record = json.dumps({"user_id": 1, "features": [0.5], "label": 0, "duration_s": 1.0})

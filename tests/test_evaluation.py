@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from unittest import mock
@@ -66,7 +67,6 @@ class TestOperatingPoint:
         assert point.recall == 1.0
         assert point.fah == 0.0
         assert 0.1 < point.tau <= 0.9
-        assert point.feasible
 
     def test_hour_of_negatives_within_budget(self):
         # 3 negatives of 1200 s: even the lowest threshold stays within 5 FAH,
@@ -529,6 +529,6 @@ class TestEarlyStop:
             EvalTargets(recall_target=1.5)
 
 
-def test_operating_point_dataclass_defaults():
+def test_operating_point_holds_tau_recall_and_fah():
     point = OperatingPoint(tau=0.5, recall=0.8, fah=1.0)
-    assert point.feasible
+    assert dataclasses.astuple(point) == (0.5, 0.8, 1.0)

@@ -146,6 +146,19 @@ class TestPseudoGradient:
             pseudo_gradient(np.zeros(3), sizes, (np.ones(3) for _ in range(count)))
 
 
+class TestServerState:
+    @pytest.mark.parametrize("name", ["weights", "m", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_or_moments_refused(self, name, bad):
+        # the one finiteness check: a step builds its state with dataclasses.replace
+        state = ServerState.initial(np.zeros(3))
+        value = np.array([0.0, bad, 0.0])
+        with pytest.raises(FloatingPointError, match="^server weights or Adam moments not finite$"):
+            replace(state, **{name: value})
+        with pytest.raises(FloatingPointError, match="^server weights or Adam moments not finite$"):
+            ServerState(**{"weights": np.zeros(3), name: value})
+
+
 class TestApplyPlain:
     def test_unit_rate_equal_sizes_is_mean(self):
         rng = np.random.default_rng(11)
@@ -173,7 +186,7 @@ class TestApplyPlain:
         state1 = apply_plain(state0, np.ones(3), AveragingStrategy.plain(1.0))
         assert np.array_equal(state1.m, np.zeros(3))
         assert np.array_equal(state1.v, np.zeros(3))
-        assert state1.adam_step == 0
+        assert state1.round == 1
 
     def test_unit_rate_convex_combination_coordinatewise(self):
         rng = np.random.default_rng(12)
@@ -195,7 +208,7 @@ class TestApplyAdam:
         assert np.array_equal(state.weights, w)
         assert np.array_equal(state.m, np.zeros(2))
         assert np.array_equal(state.v, np.zeros(2))
-        assert state.adam_step == 1
+        assert state.round == 1
 
     def test_first_round_scalar_magnitude(self):
         # after bias correction the first step is ~eta * sign(g)
@@ -227,8 +240,15 @@ class TestApplyAdam:
             state = apply_adam(state, g, strategy)
             assert np.all(state.v >= 0.0)
             assert np.linalg.norm(state.m) <= max_g_norm + 1e-12
-        assert state.adam_step == 40
         assert state.round == 40
+
+    def test_bias_correction_step_is_round_plus_one(self):
+        strategy = AveragingStrategy.adam(0.01)
+        reference = ScalarAdamReference(0.01)
+        reference.t = 4  # four steps taken, moments still zero
+        state = apply_adam(replace(ServerState.initial(np.zeros(1)), round=4), np.array([1.0]), strategy)
+        assert state.round == 5
+        assert state.weights[0] == pytest.approx(reference.step(0.0, 1.0), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -344,7 +364,7 @@ class TestRunRound:
         b_state, b_record = run_round(state, federation, shuffled, cfg, 31)
         for name in ("weights", "m", "v"):
             assert np.array_equal(getattr(a_state, name), getattr(b_state, name))
-        assert (a_state.round, a_state.adam_step) == (b_state.round, b_state.adam_step)
+        assert a_state.round == b_state.round
         assert a_record == b_record
 
     def test_clients_stream_into_the_sum(self, monkeypatch):
@@ -405,6 +425,26 @@ class TestRunRound:
         state = replace(ServerState.initial(xavier_init(spec, 2)), round=4)
         with pytest.raises(FloatingPointError, match="round 5: diverged"):
             run_round(state, federation, list(federation.user_ids), cfg, 5)
+
+    @pytest.mark.parametrize(
+        "strategy, cause",
+        [
+            # Adam's second moment overflows to inf
+            (AveragingStrategy.adam(1e-3), "server weights or Adam moments not finite"),
+            # the plain rule keeps the weights finite; only the norm overflows
+            (AveragingStrategy.plain(1.0), "pseudo-gradient norm not finite"),
+        ],
+    )
+    def test_overflowing_pseudo_gradient_names_its_cause(self, strategy, cause):
+        federation, spec = small_setup(seed=3)
+        cfg = RoundConfig(
+            participation=1.0,
+            local=LocalTrainingConfig(epochs=1, batch_size=None, eta_local=1e200),
+            strategy=strategy,
+            model=spec,
+        )
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=rf"^round 1: diverged; {cause}$"):
+            run_round(ServerState.initial(xavier_init(spec, 2)), federation, list(federation.user_ids), cfg, 5)
 
     def test_dimension_mismatch_rejected(self):
         federation, spec = small_setup(seed=7)
