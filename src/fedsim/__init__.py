@@ -35,6 +35,7 @@ from .experiment import (
     ExperimentResult,
     FederationSource,
     MetricsRecord,
+    SplitConfig,
     config_from_dict,
     load_config,
     run_baseline,

@@ -227,6 +227,14 @@ def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:
     )
 
 
+def check_split(train_frac: float, dev_frac: float) -> None:
+    """Raise ConfigError unless both fractions are nonnegative and sum to at most 1."""
+    if train_frac < 0 or dev_frac < 0:
+        raise ConfigError("split fractions must be nonnegative")
+    if train_frac + dev_frac > 1.0 + 1e-12:
+        raise ConfigError("train_frac + dev_frac must not exceed 1")
+
+
 def split_users(
     federation: Federation, train_frac: float, dev_frac: float, seed: int
 ) -> tuple[list[int], list[int], list[int]]:
@@ -234,10 +242,7 @@ def split_users(
 
     Splits are by user, never by example, so no user's data leaks across sets.
     """
-    if train_frac < 0 or dev_frac < 0:
-        raise ConfigError("split fractions must be nonnegative")
-    if train_frac + dev_frac > 1.0 + 1e-12:
-        raise ConfigError("train_frac + dev_frac must not exceed 1")
+    check_split(train_frac, dev_frac)
     ids = np.sort(federation.user_ids)
     k = len(ids)
     n_train = min(k, int(np.floor(train_frac * k + 0.5)))
@@ -267,18 +272,21 @@ def save_federation(federation: Federation, path: str | Path) -> None:
     """Write newline-delimited JSON: a header line, then one example per line.
 
     Written through `replacing`, so a failed write leaves no truncated file
-    that would load as a smaller federation.
+    that would load as a smaller federation. Rows become Python lists
+    LOAD_BLOCK_LINES at a time, never the whole federation at once.
     """
     if not (np.isfinite(federation.X).all() and np.isfinite(federation.duration).all()):
         raise ValueError("features and durations must be finite to be saved")
-    owners = np.repeat(federation.user_ids, np.diff(federation.offsets)).tolist()
-    columns = zip(owners, federation.X.tolist(), federation.y.tolist(), federation.duration.tolist())
+    owners = np.repeat(federation.user_ids, np.diff(federation.offsets))
+    columns = (owners, federation.X, federation.y, federation.duration)
     with replacing(Path(path)) as fh:
         header = {"feature_dim": federation.feature_dim, "class_count": federation.class_count}
         fh.write(json.dumps(header) + "\n")
-        for user_id, features, label, duration in columns:
-            record = {"user_id": user_id, "features": features, "label": label, "duration_s": duration}
-            fh.write(json.dumps(record) + "\n")
+        for start in range(0, len(federation.y), LOAD_BLOCK_LINES):
+            block = (a[start : start + LOAD_BLOCK_LINES].tolist() for a in columns)
+            for user_id, features, label, duration in zip(*block):
+                record = {"user_id": user_id, "features": features, "label": label, "duration_s": duration}
+                fh.write(json.dumps(record) + "\n")
 
 
 _RECORD_KEYS = {"user_id", "features", "label", "duration_s"}

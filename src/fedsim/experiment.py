@@ -20,17 +20,18 @@ import time
 import types
 import typing
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_ops
 from . import server
-from .client import LocalTrainingConfig, local_step_count, minibatches
+from .client import local_step_count, minibatches
 from .data import (
     Federation,
     FederationSpec,
+    check_split,
     load_federation,
     replacing,
     split_users,
@@ -40,24 +41,13 @@ from .errors import ConfigError, EvaluationError, require_finite
 from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
-from .server import (
-    AveragingStrategy,
-    RoundConfig,
-    ServerState,
-    cohort_loss,
-    run_round,
-    upload_cost_bytes,
-)
+from .server import RoundConfig, ServerState, cohort_loss, run_round, upload_cost_bytes
 
 logger = logging.getLogger(__name__)
 
 # Default split: most users train, the rest divides evenly into dev and test.
 DEFAULT_TRAIN_FRAC = 1374 / 1774
 DEFAULT_DEV_FRAC = 200 / 1774
-
-# Field metadata key naming the JSON object a field is written under, when
-# that differs from the object of its dataclass.
-JSON_SECTION = "json_section"
 
 
 class BaselineMode(str, enum.Enum):
@@ -88,18 +78,33 @@ class FederationSource:
         return load_federation(self.load)
 
 
+def _check_fit(model: ModelSpec, fed: Federation | FederationSpec) -> None:
+    """Raise ConfigError unless the model's input dim and class count are the federation's."""
+    if model.feature_dim != fed.feature_dim:
+        raise ConfigError(f"model input dim {model.feature_dim} != federation feature dim {fed.feature_dim}")
+    if model.class_count != fed.class_count:
+        raise ConfigError(f"model class count {model.class_count} != federation class count {fed.class_count}")
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment; its JSON form (config_from_dict, to_dict) is derived
-    from these fields, with train_frac/dev_frac grouped under "split"."""
+class SplitConfig:
+    """Fractions of the users that train and that early-stop (dev); test users are the rest."""
+
+    train_frac: float = DEFAULT_TRAIN_FRAC
+    dev_frac: float = DEFAULT_DEV_FRAC
+
+    def __post_init__(self):
+        require_finite(self)
+        check_split(self.train_frac, self.dev_frac)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RoundConfig):
+    """One experiment: a RoundConfig (model, local, strategy, participation) and the
+    rest. Its JSON form (config_from_dict, to_dict) maps each nested dataclass to one object."""
 
     federation: FederationSource
-    model: ModelSpec
-    local: LocalTrainingConfig = LocalTrainingConfig()
-    strategy: AveragingStrategy = AveragingStrategy()
-    train_frac: float = field(default=DEFAULT_TRAIN_FRAC, metadata={JSON_SECTION: "split"})
-    dev_frac: float = field(default=DEFAULT_DEV_FRAC, metadata={JSON_SECTION: "split"})
-    participation: float = 0.1
+    split: SplitConfig = SplitConfig()
     max_rounds: int = 100
     targets: EvalTargets = EvalTargets()
     master_seed: int = 0
@@ -110,12 +115,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(self)
+        super().__post_init__()
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-        if not 0.0 < self.participation <= 1.0:
-            raise ConfigError("participation ratio must lie in (0, 1]")
+        if self.federation.synthesize is not None:  # a loaded federation is checked once read
+            _check_fit(self.model, self.federation.synthesize)
+
+    # bench/run.py (_realize) reads these two too; the benchmark's files change only with the benchmark
+    @property
+    def train_frac(self) -> float:
+        return self.split.train_frac
+
+    @property
+    def dev_frac(self) -> float:
+        return self.split.dev_frac
 
     def to_dict(self) -> dict:
         return _to_json(self)
@@ -147,8 +162,7 @@ def _to_json(value):
             item = _to_json(getattr(value, f.name))
             if item is None and isinstance(value, FederationSource):
                 continue  # only the chosen source is written
-            section = f.metadata.get(JSON_SECTION)
-            (out.setdefault(section, {}) if section else out)[f.name] = item
+            out[f.name] = item
         return out
     if isinstance(value, enum.Enum):
         return value.value
@@ -159,44 +173,25 @@ def _to_json(value):
     return value
 
 
-class _Section:
-    """A JSON object consumed key by key; keys left over are unknown."""
-
-    def __init__(self, raw, where: str):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{where or 'config'} must be a JSON object")
-        self.rest = dict(raw)
-        self.where = where
-
-    def key(self, name: str) -> str:
-        return f"{self.where}.{name}" if self.where else name
-
-    def done(self) -> None:
-        if self.rest:
-            raise ConfigError(f"{self.where or 'config'}: unknown keys {sorted(self.rest)}")
-
-
 def _from_json(cls, raw, where: str = ""):
     """Build dataclass `cls` from a JSON object, field by field.
 
     Absent keys take the dataclass default. Unknown keys, missing required
     keys and mistyped values raise ConfigError naming the dotted key.
     """
-    top = _Section(raw, where)
-    sections = {None: top}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object")
+    rest = dict(raw)
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
-        name = f.metadata.get(JSON_SECTION)
-        if name not in sections:
-            sections[name] = _Section(top.rest.pop(name, {}), top.key(name))
-        section = sections[name]
-        if f.name in section.rest:
-            kwargs[f.name] = _coerce(hints[f.name], section.rest.pop(f.name), section.key(f.name))
+        key = f"{where}.{f.name}" if where else f.name
+        if f.name in rest:
+            kwargs[f.name] = _coerce(hints[f.name], rest.pop(f.name), key)
         elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"missing required key {section.key(f.name)!r}")
-    for section in sections.values():
-        section.done()
+            raise ConfigError(f"missing required key {key!r}")
+    if rest:
+        raise ConfigError(f"{where or 'config'}: unknown keys {sorted(rest)}")
     return cls(**kwargs)
 
 
@@ -258,16 +253,7 @@ def _log_evaluation(rec: MetricsRecord) -> None:
 def _prepare(config: ExperimentConfig):
     """Build the federation, user split, and initial weights; validate fit."""
     federation = config.federation.realize(derive_seed(config.master_seed, "federation"))
-    if config.model.feature_dim != federation.feature_dim:
-        raise ConfigError(
-            f"model input dim {config.model.feature_dim} != federation feature dim "
-            f"{federation.feature_dim}"
-        )
-    if config.model.class_count != federation.class_count:
-        raise ConfigError(
-            f"model class count {config.model.class_count} != federation class count "
-            f"{federation.class_count}"
-        )
+    _check_fit(config.model, federation)
     train, dev, test = split_users(
         federation, config.train_frac, config.dev_frac, derive_seed(config.master_seed, "split")
     )
@@ -380,12 +366,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-    round_cfg = RoundConfig(
-        participation=config.participation,
-        local=config.local,
-        strategy=config.strategy,
-        model=config.model,
-    )
     state = ServerState.initial(w0)
     total_local_steps = 0
 
@@ -393,7 +373,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         nonlocal state, total_local_steps
         broadcast = state.weights
         state, record = run_round(
-            state, federation, train, round_cfg, derive_seed(config.master_seed, "round", t)
+            state, federation, train, config, derive_seed(config.master_seed, "round", t)
         )
         total_local_steps += sum(
             local_step_count(n_k, config.local.batch_size, config.local.epochs)
@@ -465,9 +445,9 @@ def _set_dotted(mapping: dict, dotted: str, value) -> None:
 def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cross-product sweep over dotted config paths.
 
-    Every grid point is validated before any point runs. Point i uses master
-    seed base+i, so a singleton grid reproduces run_experiment exactly; the
-    grid may therefore not set master_seed, nor output_dir.
+    Every grid point's config is built, and so checked, before any point
+    runs. Point i uses master seed base+i, so a singleton grid reproduces
+    run_experiment exactly; the grid may not set master_seed, nor output_dir.
     Returns one row per (point, evaluated round): the point's grid values,
     round, dev_metric and train_loss_mean. When the base config has
     an output_dir, each point's rows are appended to sweep.csv as the point

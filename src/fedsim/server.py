@@ -105,14 +105,14 @@ class RoundRecord:
     pseudo_gradient_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundConfig:
     """Everything a round needs besides server state and data."""
 
-    participation: float
-    local: LocalTrainingConfig
-    strategy: AveragingStrategy
     model: ModelSpec
+    local: LocalTrainingConfig = LocalTrainingConfig()
+    strategy: AveragingStrategy = AveragingStrategy()
+    participation: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.participation <= 1.0:

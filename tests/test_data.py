@@ -148,6 +148,19 @@ class TestFederationFile:
         assert load_federation(path) == fed
         assert load_outcome(load_federation, path) == load_outcome(fedsim.data._load_lines, path)
 
+    def test_block_save_equals_a_per_line_writer(self, tmp_path):
+        # three blocks, the last one short
+        fed = synthesize_federation(FederationSpec(user_count=60, size_mean=20.0, feature_dim=3), seed=4)
+        assert 2 * LOAD_BLOCK_LINES < len(fed.y) < 3 * LOAD_BLOCK_LINES
+        lines = [json.dumps({"feature_dim": 3, "class_count": 2})]
+        for k, uid in enumerate(fed.user_ids.tolist()):
+            for row in range(fed.offsets[k], fed.offsets[k + 1]):
+                record = {"user_id": uid, "features": fed.X[row].tolist(), "label": int(fed.y[row]),
+                          "duration_s": float(fed.duration[row])}
+                lines.append(json.dumps(record))
+        save_federation(fed, tmp_path / "federation.jsonl")
+        assert (tmp_path / "federation.jsonl").read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
         # the write fails after some records: the file already there stays whole
         # and no partial file is left, so no truncated file loads as a smaller federation

@@ -25,6 +25,7 @@ from fedsim import (
     ModelSpec,
     RoundConfig,
     ServerState,
+    SplitConfig,
     derive_seed,
     run_round,
     save_federation,
@@ -92,6 +93,7 @@ CONFIG_CLASSES = {
     AveragingStrategy: {},
     FederationSpec: {"user_count": 10},
     EvalTargets: {},
+    SplitConfig: {},
     ExperimentConfig: {"federation": FederationSource(FederationSpec(10)), "model": ModelSpec((10, 2))},
     RoundConfig: {
         "participation": 0.5,
@@ -227,13 +229,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dev"):
             run_experiment(cfg)
 
-    def test_model_federation_mismatch_fails_early(self):
-        cfg = config_from_dict(base_raw(model={"layer_dims": [5, 2]}))
-        with pytest.raises(ConfigError, match="feature dim"):
+    def test_model_federation_mismatch_fails_early(self, tmp_path):
+        # a synthesized federation is checked as the config is built, a loaded one before round 1
+        with pytest.raises(ConfigError, match="model input dim 5 != federation feature dim 3"):
+            config_from_dict(base_raw(model={"layer_dims": [5, 2]}))
+        with pytest.raises(ConfigError, match="model class count 4 != federation class count 2"):
+            config_from_dict(base_raw(model={"layer_dims": [3, 4]}))
+        save_federation(base_federation(), tmp_path / "users.jsonl")
+        cfg = config_from_dict(
+            base_raw(federation={"load": str(tmp_path / "users.jsonl")}, model={"layer_dims": [5, 2]})
+        )
+        with pytest.raises(ConfigError, match="model input dim 5 != federation feature dim 3"):
             run_experiment(cfg)
 
 
 class TestRunExperiment:
+    def test_run_round_reads_the_experiment_config_as_its_round_config(self):
+        cfg = config_from_dict(base_raw(
+            participation=0.5, local={"epochs": 2, "batch_size": 4, "eta_local": 0.05},
+            strategy={"kind": "adam", "eta_global": 0.05},
+        ))
+        round_cfg = RoundConfig(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(RoundConfig)})
+        federation, train, _, _, w0 = _prepare(cfg)
+        runs = []
+        for config in (cfg, round_cfg):
+            state, records = ServerState.initial(w0), []
+            for t in range(1, 4):
+                seed = derive_seed(cfg.master_seed, "round", t)
+                state, record = run_round(state, federation, train, config, seed)
+                records.append(record)
+            runs.append((state, records))
+        (state_a, records_a), (state_b, records_b) = runs
+        for name in ("weights", "m", "v"):
+            assert getattr(state_a, name).tobytes() == getattr(state_b, name).tobytes()
+        assert records_a == records_b
+
     def test_zero_eta_single_round_keeps_initial_metric(self):
         raw = base_raw(max_rounds=1)
         raw["local"] = {"epochs": 1, "batch_size": None, "eta_local": 0.0}
@@ -560,6 +590,23 @@ class TestSweep:
         with pytest.raises(ConfigError, match="sweep point"):
             sweep(cfg, {"participation": [0.5, 2.0]})
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"split.train_frac": [0.6, 0.9]},
+        {"model.layer_dims": [[3, 2], [4, 2]]},
+        {"federation.synthesize.feature_dim": [3, 4]},
+    ], ids=lambda grid: next(iter(grid)))
+    def test_a_later_invalid_point_runs_no_point(self, monkeypatch, grid):
+        real, calls = fedsim.experiment.run_experiment, []
+
+        def spy(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(fedsim.experiment, "run_experiment", spy)
+        with pytest.raises(ConfigError, match=r"^sweep point \{'"):
+            sweep(config_from_dict(base_raw(max_rounds=2)), grid)
+        assert calls == []
 
     @pytest.mark.parametrize("key", ["master_seed", "output_dir"])
     def test_grid_may_not_set_seed_or_output_dir(self, tmp_path, key):
