@@ -16,7 +16,7 @@ from typing import Final
 import numpy as np
 
 from . import model
-from .data import ClientPartition
+from .data import ClientPartition, Federation
 from .errors import ConfigError, require_finite
 from .model import ModelSpec
 from .seeding import derive_seed
@@ -57,9 +57,14 @@ def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndar
     """
     batch = n if batch_size is FULL_BATCH else batch_size
     for epoch in itertools.count():
-        order = np.random.default_rng(derive_seed(*seed_parts, epoch)).permutation(n)
+        order = epoch_order(n, *seed_parts, epoch)
         for start in range(0, n, batch):
             yield order[start : start + batch]
+
+
+def epoch_order(n: int, *seed_parts) -> np.ndarray:
+    """The shuffled order of n examples in the epoch that the seed parts, the epoch last, name."""
+    return np.random.default_rng(derive_seed(*seed_parts)).permutation(n)
 
 
 def train_local(
@@ -95,3 +100,37 @@ def train_local(
     except FloatingPointError:
         raise FloatingPointError(f"user {partition.user_id}: local training diverged") from None
     return w
+
+
+def train_one_step(w_start, federation: Federation, user_ids, cfg: LocalTrainingConfig, spec: ModelSpec,
+                   round_seed: int) -> np.ndarray:
+    """train_local's results, bit for bit, as rows of a (k, P) matrix, for users
+    that each take one local step: the users of one size in one stacked gradient
+    pass, each on its epoch-0 order. If a pass raises FloatingPointError or leaves
+    a weight non-finite, they train one by one, and train_local names the first."""
+    w_start = model._check_params(spec, w_start)
+    segments = federation.segments(user_ids)
+    by_size = np.argsort(np.diff(federation.offsets)[segments], kind="stable")  # a size's users consecutive
+    starts, sizes = federation.offsets[segments[by_size]], np.diff(federation.offsets)[segments[by_size]]
+    orders = [epoch_order(n, round_seed, user_ids[i], 0) for i, n in zip(by_size.tolist(), sizes.tolist())]
+    rows = np.concatenate(orders) + np.repeat(starts, sizes)
+    X, y = federation.X[rows], federation.y[rows]
+    cuts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist() + [len(user_ids)]
+    first_rows = (np.cumsum(sizes) - sizes).tolist()
+    G, layers = np.empty((len(user_ids), spec.param_count)), model._layer_views(spec, w_start)
+    try:
+        for a, b in zip(cuts, cuts[1:]):
+            k, n, r = b - a, int(sizes[a]), first_rows[a]
+            Xk, yk = X[r : r + k * n].reshape(k, n, -1), y[r : r + k * n].reshape(k, n)
+            model.gradient_from_arrays(spec, w_start, Xk, yk, out=G[a:b], layers=layers)
+        G *= cfg.eta_local
+        np.subtract(w_start, G, out=G)
+        diverged = not np.isfinite(G).all()
+    except FloatingPointError:
+        diverged = True
+    if diverged:
+        return np.stack([train_local(w_start, federation.partition(u), cfg, spec, round_seed)
+                         for u in user_ids])
+    W = np.empty_like(G)
+    W[by_size] = G
+    return W

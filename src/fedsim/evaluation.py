@@ -108,20 +108,24 @@ def operating_points(
     return tau, hits / n_pos, false_alarms / neg_hours
 
 
+def run_firsts(sizes) -> np.ndarray:
+    """Which of consecutive users (sizes in order) begin a run of whole users: those whose first
+    row falls in a new EVAL_ROWS block, so a run has fewer than EVAL_ROWS rows plus its last user's."""
+    starts = np.cumsum(sizes) - sizes
+    return np.diff(starts // EVAL_ROWS, prepend=-1) != 0
+
+
 def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
     """Split rows (indices, or data along them) of consecutive users, sizes in
-    order, into runs of whole users: a run holds the users whose first row falls
-    in one EVAL_ROWS block, so it has fewer than EVAL_ROWS rows plus its last user's.
+    order, into the runs of run_firsts.
 
     A one-row user is a run of its own: numpy multiplies a one-row matrix
     with gemv, which rounds differently from gemm, so only alone does its
     row come out as a pass over that user's rows computes it.
     """
-    starts = np.cumsum(sizes) - sizes
-    single = np.equal(sizes, 1)
-    first = np.diff(starts // EVAL_ROWS, prepend=-1) != 0
+    single, first = np.equal(sizes, 1), run_firsts(sizes)
     first[1:] |= single[1:] | single[:-1]
-    return np.split(rows, starts[first][1:])
+    return np.split(rows, (np.cumsum(sizes) - sizes)[first][1:])
 
 
 def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.ndarray, np.ndarray, list]:
@@ -155,12 +159,14 @@ def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.nd
 
 
 def _segment_recalls(spec, w, federation, user_ids, targets, pooled) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and recalls of the eval_segments segments: the rows scored in runs
-    of whole users (row_chunks), every segment's operating point in one search."""
+    """Sizes and recalls of the eval_segments segments, every segment's operating
+    point in one search. Users' rows are scored in runs of whole users (row_chunks);
+    a pool's, in EVAL_ROWS blocks, a one-row tail joining the block before it."""
     rows, sizes, skipped = eval_segments(federation, user_ids, pooled)
     if skipped:
         logger.info("federated_eval skipped %d user(s) without both classes: %s", len(skipped), skipped)
-    scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in row_chunks(rows, sizes)])
+    chunks = np.split(rows, range(EVAL_ROWS, len(rows) - 1, EVAL_ROWS)) if pooled else row_chunks(rows, sizes)
+    scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in chunks])
     return sizes, operating_points(scores, federation.y[rows], federation.duration[rows], sizes, targets)[1]
 
 
@@ -181,7 +187,7 @@ def pooled_eval(
     spec: ModelSpec, w: np.ndarray, federation: Federation, eval_user_ids, targets: EvalTargets
 ) -> float:
     """Recall at a single operating point over all eval users' pooled
-    examples: the recall of the one segment, scored in one pass."""
+    examples: the recall of the one segment."""
     return _segment_recalls(spec, w, federation, eval_user_ids, targets, pooled=True)[1].item()
 
 

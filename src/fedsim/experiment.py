@@ -31,6 +31,7 @@ from .client import local_step_count, minibatches
 from .data import (
     Federation,
     FederationSpec,
+    _parse_header,
     check_split,
     load_federation,
     replacing,
@@ -78,12 +79,12 @@ class FederationSource:
         return load_federation(self.load)
 
 
-def _check_fit(model: ModelSpec, fed: Federation | FederationSpec) -> None:
+def _check_fit(model: ModelSpec, feature_dim: int, class_count: int) -> None:
     """Raise ConfigError unless the model's input dim and class count are the federation's."""
-    if model.feature_dim != fed.feature_dim:
-        raise ConfigError(f"model input dim {model.feature_dim} != federation feature dim {fed.feature_dim}")
-    if model.class_count != fed.class_count:
-        raise ConfigError(f"model class count {model.class_count} != federation class count {fed.class_count}")
+    if model.feature_dim != feature_dim:
+        raise ConfigError(f"model input dim {model.feature_dim} != federation feature dim {feature_dim}")
+    if model.class_count != class_count:
+        raise ConfigError(f"model class count {model.class_count} != federation class count {class_count}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class ExperimentConfig(RoundConfig):
             raise ConfigError("max_rounds must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-        if self.federation.synthesize is not None:  # a loaded federation is checked once read
-            _check_fit(self.model, self.federation.synthesize)
+        if (fed := self.federation.synthesize) is not None:  # a loaded federation is checked once read
+            _check_fit(self.model, fed.feature_dim, fed.class_count)
 
     # bench/run.py (_realize) reads these two too; the benchmark's files change only with the benchmark
     @property
@@ -233,9 +234,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def read_json(path: str | Path):
-    """The JSON document in the file at path; invalid or too deeply nested JSON is a ConfigError."""
+    """The JSON document in the file at path; text that is not UTF-8, and invalid
+    or too deeply nested JSON, is a ConfigError naming the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
     except RecursionError:
@@ -253,7 +257,7 @@ def _log_evaluation(rec: MetricsRecord) -> None:
 def _prepare(config: ExperimentConfig):
     """Build the federation, user split, and initial weights; validate fit."""
     federation = config.federation.realize(derive_seed(config.master_seed, "federation"))
-    _check_fit(config.model, federation)
+    _check_fit(config.model, federation.feature_dim, federation.class_count)
     train, dev, test = split_users(
         federation, config.train_frac, config.dev_frac, derive_seed(config.master_seed, "split")
     )
@@ -446,7 +450,8 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cross-product sweep over dotted config paths.
 
     Every grid point's config is built, and so checked, before any point
-    runs. Point i uses master seed base+i, so a singleton grid reproduces
+    runs; so is its model's fit to a loaded file, read from the file's header
+    line. Point i uses master seed base+i, so a singleton grid reproduces
     run_experiment exactly; the grid may not set master_seed, nor output_dir.
     Returns one row per (point, evaluated round): the point's grid values,
     round, dev_metric and train_loss_mean. When the base config has
@@ -473,7 +478,10 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         raw["output_dir"] = None
         try:
             point_config = config_from_dict(raw)
-        except ConfigError as exc:
+            if (path := point_config.federation.load) is not None:
+                with path.open("r", encoding="utf-8") as fh:
+                    _check_fit(point_config.model, *_parse_header(fh.readline()))
+        except (ValueError, OSError) as exc:  # a ConfigError, or a header that cannot be read
             raise ConfigError(f"sweep point {dict(zip(keys, combo))}: {exc}") from None
         points.append((dict(zip(keys, combo)), point_config))
 

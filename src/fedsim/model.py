@@ -60,8 +60,8 @@ class ModelSpec:
 
 
 def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views into the flat vector, one pair per layer."""
-    return [(w[start:mid].reshape(shape), w[mid:end]) for start, mid, end, shape in spec.layer_plan]
+    """(W, b) views into the flat vector, one pair per layer, behind w's leading axes."""
+    return [(w[..., a:b].reshape(w.shape[:-1] + shape), w[..., b:c]) for a, b, c, shape in spec.layer_plan]
 
 
 def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
@@ -106,10 +106,10 @@ def _forward_cached(spec: ModelSpec, layers, X: np.ndarray):
 
 def _shifted(logits: np.ndarray) -> np.ndarray:
     """logits minus each row's max, taken exactly as C-1 maxima over the class columns."""
-    m = np.maximum(logits[:, 0], logits[:, 1])
-    for c in range(2, logits.shape[1]):
-        np.maximum(m, logits[:, c], out=m)
-    return logits - m[:, None]
+    m = np.maximum(logits[..., 0], logits[..., 1])
+    for c in range(2, logits.shape[-1]):
+        np.maximum(m, logits[..., c], out=m)
+    return logits - m[..., None]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,21 +163,22 @@ def gradient_from_arrays(
     spec.param_count, and neither it nor the result is checked here;
     callers check their weights once per update. Writes into and returns `out`
     (new if None); `layers` and `out_layers` are w's and out's `_layer_views`.
-    """
-    n = X.shape[0]
+    Batches stacked as X (k, n, d), y (k, n) give a (k, P) out, each row bit for
+    bit the 2-D call's: numpy multiplies a stack slice by slice, as in 2-D."""
+    n = X.shape[-2]
     layers = _layer_views(spec, w) if layers is None else layers
     logits, caches = _forward_cached(spec, layers, X)
     delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
+    delta -= y[..., None] == np.arange(logits.shape[-1])  # minus one at the label: x - 0.0 is x
     delta /= n
 
-    out = np.empty_like(w) if out is None else out
+    out = np.empty(X.shape[:-2] + w.shape) if out is None else out
     views = _layer_views(spec, out) if out_layers is None else out_layers
     for idx in range(len(layers) - 1, -1, -1):
         a_in, _ = caches[idx]
         g_w, g_b = views[idx]
-        np.matmul(a_in.T, delta, out=g_w)
-        np.add.reduce(delta, axis=0, out=g_b)
+        np.matmul(a_in.swapaxes(-1, -2), delta, out=g_w)
+        np.add.reduce(delta, axis=-2, out=g_b)
         if idx > 0:
             weight, _ = layers[idx]
             _, z_prev = caches[idx - 1]

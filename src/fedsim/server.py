@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model
-from .client import LocalTrainingConfig, train_local
+from . import evaluation, model
+from .client import LocalTrainingConfig, local_step_count, train_local, train_one_step
 from .data import Federation
 from .errors import ConfigError, require_finite
 from .evaluation import row_chunks
@@ -134,16 +134,27 @@ def select_clients(user_ids, participation: float, round_seed: int) -> list[int]
 
 def pseudo_gradient(w_prev: np.ndarray, sizes, client_weights) -> np.ndarray:
     """Weighted sum of client deltas, (n_k / n_r) * (w_prev - w_k) added in the
-    order given, n_r = sum(sizes); client_weights may be a generator."""
+    order given, n_r = sum(sizes). client_weights yields vectors w_k or (k, P)
+    blocks of the next k clients' weights, and may be a generator."""
     if len(sizes) == 0:
         raise ValueError("sizes must be nonempty")
     w_prev = np.asarray(w_prev, dtype=np.float64)
-    n_r = sum(sizes)
-    acc = np.zeros_like(w_prev)
-    for n_k, w_k in zip(sizes, client_weights, strict=True):
-        if w_k.shape != w_prev.shape:
-            raise ValueError(f"client weights shape {w_k.shape} != server shape {w_prev.shape}")
-        acc += (n_k / n_r) * (w_prev - w_k)
+    scale = np.divide(sizes, sum(sizes))  # each n_k / n_r, rounded as Python rounds it
+    acc, done = np.zeros_like(w_prev), 0
+    for W in map(np.atleast_2d, client_weights):
+        if W.shape[1:] != w_prev.shape or done + len(W) > len(sizes):
+            raise ValueError(f"client weights {W.shape} after {done} fit neither {w_prev.shape} nor sizes")
+        D = w_prev - W
+        D *= scale[done : done + len(W), None]
+        done += len(W)
+        if len(D) == 1:  # the same sum as below, without a reduce's extra pass
+            acc += D[0]
+        else:  # an axis-0 reduce adds the rows in order, as `acc += d` row by row would
+            D[0] += acc
+            np.add.reduce(D, axis=0, out=acc)
+        del W, D  # before the next block is made
+    if done != len(sizes):
+        raise ValueError(f"{done} client weights for {len(sizes)} sizes")
     return acc
 
 
@@ -187,18 +198,28 @@ def run_round(
 ) -> tuple[ServerState, RoundRecord]:
     """One synchronous communication round.
 
-    Selected clients all train from the same broadcast weights, one at a
-    time in ascending user id, and each delta joins the pseudo-gradient as
-    its client finishes, so a round holds at most two client weight vectors.
-    The configured update rule then advances the global weights. A client's, the
-    new state's or the pseudo-gradient norm's FloatingPointError names the round.
+    Selected clients all train from the same broadcast weights in ascending
+    user id, and their deltas join the pseudo-gradient as they finish. When
+    each takes one local step, they train through train_one_step in blocks of
+    whole clients, so a round holds one block's weights and deltas at a
+    time; otherwise one at a time through train_local. The configured
+    update rule then advances the global weights. A client's, the new state's
+    or the pseudo-gradient norm's FloatingPointError names the round.
     """
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
     sizes = federation.sizes(selected).tolist()
     w_prev = state.weights
-    client_weights = (
-        train_local(w_prev, federation.partition(u), cfg.local, cfg.model, round_seed) for u in selected
-    )
+    if local_step_count(max(sizes), cfg.local.batch_size, cfg.local.epochs) == 1:  # steps grow with n_k
+        # a block: clients of one run_firsts run whose weights fill at most EVAL_ROWS**2 floats (2 MiB),
+        # about an EVAL_ROWS-row pass of the paper-scale model; so one-row clients stay bounded too
+        most = max(1, evaluation.EVAL_ROWS**2 // cfg.model.param_count)
+        firsts = np.flatnonzero(evaluation.run_firsts(sizes)).tolist() + [len(selected)]
+        blocks = [(lo, min(lo + most, b)) for a, b in zip(firsts, firsts[1:]) for lo in range(a, b, most)]
+        client_weights = (train_one_step(w_prev, federation, selected[lo:hi], cfg.local, cfg.model, round_seed)
+                          for lo, hi in blocks)
+    else:
+        client_weights = (train_local(w_prev, federation.partition(u), cfg.local, cfg.model, round_seed)
+                          for u in selected)
     try:
         grad = pseudo_gradient(w_prev, sizes, client_weights)
         # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called

@@ -211,6 +211,18 @@ def test_deeply_nested_json_prints_one_line_in_a_subprocess(config_file, target)
     assert proc.stderr == expected, proc.stderr
 
 
+@pytest.mark.parametrize("target", ["config", "grid"])
+def test_file_that_is_not_utf8_prints_one_line_naming_it_in_a_subprocess(config_file, target):
+    path, tmp_path = config_file
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"participation": [1.0]}))
+    (path if target == "config" else grid).write_bytes(b'\xff{"participation": [1.0]}')
+    proc = run_cli_subprocess("sweep", "--config", str(path), "--grid", str(grid))
+    bad = path if target == "config" else grid
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n", proc.stderr
+
+
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):
     # client weights of order 1e200 stay finite, and Adam's step stays small
     # once its second moment is inf, so only the round-level guard stops it

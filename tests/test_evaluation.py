@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim.evaluation
+import fedsim.model
 from fedsim import (
     ConfigError,
     EvalTargets,
@@ -510,6 +511,50 @@ class TestChunkedPasses:
             assert got == expected
         else:  # a hidden layer's matmul rounds by the run's row count
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestPooledBlocks:
+    """pooled_eval scores its pool in EVAL_ROWS blocks, a one-row tail joining
+    the block before it, with the one-pass recall on [10, 2]."""
+
+    @staticmethod
+    def setting(seed):
+        federation = synthesize_federation(
+            FederationSpec(user_count=200, size_mean=6.0, size_std=5.0, positive_rate=0.3), seed
+        )
+        spec = ModelSpec((10, 2))
+        return federation, spec, federation.user_ids.tolist()
+
+    @pytest.mark.parametrize("eval_rows", [64, "tail"])
+    def test_no_pass_exceeds_a_block_and_a_row(self, monkeypatch, eval_rows):
+        federation, spec, users = self.setting(1)
+        pool = len(federation.rows(users)[0])
+        # "tail": blocks of (pool - 1) / 2 rows leave a one-row tail
+        eval_rows = (pool - 1) // 2 if eval_rows == "tail" else eval_rows
+        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        real, passes = fedsim.model.batch_probs, []
+
+        def counting(spec, w, X):
+            passes.append(len(X))
+            return real(spec, w, X)
+
+        monkeypatch.setattr(fedsim.model, "batch_probs", counting)
+        pooled_eval(spec, np.zeros(spec.param_count), federation, users, EvalTargets())
+        assert sum(passes) == pool and len(passes) > 1
+        assert passes[:-1] == [eval_rows] * (len(passes) - 1) and 2 <= passes[-1] <= eval_rows + 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_for_any_block_size(self, monkeypatch, seed):
+        federation, spec, users = self.setting(seed)
+        rng = np.random.default_rng(seed)
+        targets = EvalTargets(fah_budget=50.0)
+        for _ in range(20):
+            w = rng.standard_normal(spec.param_count)
+            recalls = []
+            for eval_rows in (64, 512, 10**9):
+                monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+                recalls.append(pooled_eval(spec, w, federation, users, targets))
+            assert recalls[0] == recalls[1] == recalls[2]
 
 
 class TestEarlyStop:

@@ -608,6 +608,28 @@ class TestSweep:
             sweep(config_from_dict(base_raw(max_rounds=2)), grid)
         assert calls == []
 
+    @pytest.mark.parametrize("grid", [
+        {"model.layer_dims": [[3, 2], [4, 2]]},
+        {"model.layer_dims": [[3, 2], [3, 3]]},
+        {"federation.load": ["users.jsonl", "wide.jsonl"]},
+    ], ids=["feature_dim", "class_count", "file"])
+    def test_a_later_misfit_of_a_loaded_file_runs_no_point(self, tmp_path, monkeypatch, grid):
+        # the fit of a loaded file is checked from its header line before the first point
+        save_federation(base_federation(), tmp_path / "users.jsonl")
+        (tmp_path / "wide.jsonl").write_text(json.dumps({"feature_dim": 4, "class_count": 2}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        real, calls = fedsim.experiment.run_experiment, []
+
+        def spy(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(fedsim.experiment, "run_experiment", spy)
+        cfg = config_from_dict(base_raw(federation={"load": "users.jsonl"}, max_rounds=2))
+        with pytest.raises(ConfigError, match=r"^sweep point \{'.*: model (input dim|class count) "):
+            sweep(cfg, grid)
+        assert calls == []
+
     @pytest.mark.parametrize("key", ["master_seed", "output_dir"])
     def test_grid_may_not_set_seed_or_output_dir(self, tmp_path, key):
         cfg = config_from_dict(base_raw(max_rounds=2, output_dir=str(tmp_path)))

@@ -246,6 +246,41 @@ class TestGradient:
         assert gradient_from_arrays(spec, w, X, y, out=out, **views) is out
         assert out.tobytes() == gradient_from_arrays(spec, w, X, y).tobytes()
 
+    @given(
+        dims=st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=4),
+        classes=st.integers(min_value=2, max_value=5),
+        activation=st.sampled_from(["relu", "tanh"]),
+        k=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=1, max_value=13),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_stack_of_batches_gives_each_batchs_gradient(self, dims, classes, activation, k, n, seed):
+        # (k, n, d) batches into rows 1..k of a buffer, as one-step clients train: each row bit for bit
+        spec = ModelSpec((*dims, classes), activation=activation)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(spec.param_count)
+        X = rng.standard_normal((k, n, spec.feature_dim))
+        y = rng.integers(0, classes, size=(k, n))
+        out = np.full((k + 2, spec.param_count), np.nan)
+        gradient_from_arrays(spec, w, X, y, out=out[1 : k + 1], layers=_layer_views(spec, w))
+        for i in range(k):
+            assert out[i + 1].tobytes() == gradient_from_arrays(spec, w, X[i], y[i]).tobytes()
+        assert np.isnan(out[[0, -1]]).all()
+
+    @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 32, 2), (40, 128, 128, 2)])
+    def test_a_stack_matches_at_paper_shapes(self, layer_dims):
+        spec = ModelSpec(layer_dims)
+        rng = np.random.default_rng(len(layer_dims))
+        w = xavier_init(spec, 4)
+        for n in (*range(1, 14), 39, 200):
+            X = rng.standard_normal((5, n, spec.feature_dim))
+            y = rng.integers(0, 2, size=(5, n))
+            stacked = gradient_from_arrays(spec, w, X, y)
+            assert stacked.shape == (5, spec.param_count)
+            for i in range(5):
+                assert stacked[i].tobytes() == gradient_from_arrays(spec, w, X[i], y[i]).tobytes()
+
     def test_same_shape_as_weights(self, rng):
         spec = ModelSpec((3, 4, 2))
         w = rng.standard_normal(spec.param_count)

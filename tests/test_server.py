@@ -7,15 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedsim.evaluation
 import fedsim.server
 from fedsim import (
     AveragingKind,
     AveragingStrategy,
     ConfigError,
+    Federation,
     FederationSpec,
     LocalTrainingConfig,
     ModelSpec,
     RoundConfig,
+    RoundRecord,
     ServerState,
     apply_adam,
     apply_plain,
@@ -24,6 +27,7 @@ from fedsim import (
     run_round,
     select_clients,
     synthesize_federation,
+    train_local,
     upload_cost_bytes,
     xavier_init,
 )
@@ -474,3 +478,121 @@ class TestStrategyValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             AveragingStrategy(kind="adam", **kwargs)
+
+
+def one_row_federation(layer_dims, seed: int, users: int = 60) -> Federation:
+    """A federation for the model's dims whose users hold 1 to about 15 rows, some of them one."""
+    federation = synthesize_federation(
+        FederationSpec(user_count=users, size_mean=4.0, size_std=4.0, feature_dim=layer_dims[0],
+                       class_count=layer_dims[-1], positive_rate=0.3),
+        seed=seed,
+    )
+    assert (np.diff(federation.offsets) == 1).sum() >= 3
+    return federation
+
+
+def per_client_round(state, federation, user_ids, cfg, round_seed):
+    """run_round as one train_local call per client, its delta summed in a plain loop."""
+    selected = select_clients(user_ids, cfg.participation, round_seed)
+    sizes = federation.sizes(selected).tolist()
+    grad = np.zeros_like(state.weights)
+    for n_k, u in zip(sizes, selected):
+        w_k = train_local(state.weights, federation.partition(u), cfg.local, cfg.model, round_seed)
+        grad += (n_k / sum(sizes)) * (state.weights - w_k)
+    new_state = (apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain)(state, grad, cfg.strategy)
+    return new_state, RoundRecord(new_state.round, tuple(selected), sum(sizes), math.sqrt(np.add.reduce(grad * grad)))
+
+
+class TestStackedOneStepRounds:
+    """Rounds whose clients each take one local step train in stacked passes,
+    with train_local's and the per-client sum's results bit for bit."""
+
+    @pytest.mark.parametrize("eval_rows", [16, 512])
+    @pytest.mark.parametrize("participation", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 32, 2), (6, 8, 3)])
+    def test_equals_per_client_rounds_bitwise(self, monkeypatch, layer_dims, participation, eval_rows):
+        # EVAL_ROWS 16 cuts a cohort into several blocks
+        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        federation, spec = one_row_federation(layer_dims, seed=len(layer_dims)), ModelSpec(layer_dims)
+        batch = None if participation < 1.0 else 64  # a batch that covers every partition is one step too
+        cfg = RoundConfig(model=spec, local=LocalTrainingConfig(epochs=1, batch_size=batch, eta_local=0.3),
+                          strategy=AveragingStrategy.adam(0.01), participation=participation)
+        calls = []
+        monkeypatch.setattr(fedsim.server, "train_local", lambda *args: calls.append(args))
+        users = federation.user_ids.tolist()
+        stacked = reference = ServerState.initial(xavier_init(spec, 1))
+        for t in range(1, 4):
+            stacked, record = run_round(stacked, federation, users, cfg, round_seed=t)
+            reference, expected = per_client_round(reference, federation, users, cfg, round_seed=t)
+            for name in ("weights", "m", "v"):
+                assert getattr(stacked, name).tobytes() == getattr(reference, name).tobytes()
+            assert record == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("eval_rows", [4, 512])
+    @pytest.mark.parametrize("errstate", [{"all": "ignore"}, {"over": "raise", "invalid": "raise"}])
+    def test_divergence_names_the_first_diverged_user(self, monkeypatch, eval_rows, errstate):
+        # users 5 and 11 hold features that overflow the logits; the other users' steps stay finite
+        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        federation, spec = one_row_federation((3, 2), seed=2), ModelSpec((3, 2))
+        X = federation.X.copy()
+        for u in (11, 5):
+            k = federation.segments([u])[0]
+            X[federation.offsets[k] : federation.offsets[k + 1]] = 1e308
+        federation = Federation(X, federation.y, federation.duration, federation.user_ids, federation.offsets, 2)
+        cfg = RoundConfig(model=spec, local=LocalTrainingConfig(), participation=1.0)
+        state = ServerState.initial(xavier_init(spec, 1))
+        with np.errstate(**errstate), pytest.raises(
+            FloatingPointError, match=r"^round 1: diverged; user 5: local training diverged$"
+        ):
+            run_round(state, federation, federation.user_ids.tolist(), cfg, round_seed=3)
+
+    def test_a_client_with_two_steps_sends_every_client_through_train_local(self, monkeypatch):
+        federation, spec = one_row_federation((3, 2), seed=4), ModelSpec((3, 2))
+        sizes = np.diff(federation.offsets)
+        batch = int(sizes.max()) - 1  # the largest partition alone takes two steps
+        cfg = RoundConfig(model=spec, local=LocalTrainingConfig(epochs=1, batch_size=batch), participation=1.0)
+        assert (sizes <= batch).sum() == len(sizes) - 1
+        real, trained = fedsim.server.train_local, []
+
+        def counting(w_start, partition, *args):
+            trained.append(partition.user_id)
+            return real(w_start, partition, *args)
+
+        monkeypatch.setattr(fedsim.server, "train_local", counting)
+        _, record = run_round(ServerState.initial(xavier_init(spec, 2)), federation,
+                              federation.user_ids.tolist(), cfg, round_seed=5)
+        assert trained == list(record.selected_users) == sorted(federation.user_ids.tolist())
+
+    def test_block_sum_equals_the_client_loop_bitwise(self):
+        # pseudo_gradient's (k, P) blocks add their rows in order, as a loop over clients would
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            P, k = int(rng.choice([4, 5, 22, 300])), int(rng.integers(1, 150))
+            w_prev = rng.standard_normal(P) * 10.0 ** int(rng.integers(-3, 3))
+            W = w_prev + rng.standard_normal((k, P)) * 10.0 ** int(rng.integers(-8, 0))
+            sizes = rng.integers(1, 300, k).tolist()
+            expected = np.zeros(P)
+            for n_k, w_k in zip(sizes, W):
+                expected += (n_k / sum(sizes)) * (w_prev - w_k)
+            cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, int(rng.integers(0, 6))), replace=False))
+            assert pseudo_gradient(w_prev, sizes, np.split(W, cuts)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 32, 2)])
+    def test_a_block_holds_one_run_of_at_most_eval_rows_squared_floats(self, monkeypatch, layer_dims):
+        # one-row clients: the row cut alone would stack up to EVAL_ROWS of them
+        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", 16)
+        spec = ModelSpec(layer_dims)
+        federation = synthesize_federation(FederationSpec(user_count=90, size_mean=1.0, size_std=0.0), seed=1)
+        real, blocks = fedsim.server.train_one_step, []
+
+        def recording(w_start, federation, user_ids, *args):
+            blocks.append(list(user_ids))
+            return real(w_start, federation, user_ids, *args)
+
+        monkeypatch.setattr(fedsim.server, "train_one_step", recording)
+        cfg = RoundConfig(model=spec, local=LocalTrainingConfig(), participation=1.0)
+        run_round(ServerState.initial(xavier_init(spec, 1)), federation, federation.user_ids.tolist(), cfg, 2)
+        most = max(1, 16 * 16 // spec.param_count)
+        assert [u for block in blocks for u in block] == list(range(90))
+        assert max(map(len, blocks)) == min(most, 16)
