@@ -21,26 +21,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress details")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
+    common.add_argument("--config", required=True, help="experiment config JSON")
+    common.add_argument("--seed", type=int, default=None, help="override master_seed")
+    common.add_argument("--output-dir", default=None, help="override output directory")
 
-    run_p = sub.add_parser("run", help="run one federated experiment")
-    run_p.add_argument("--config", required=True, help="experiment config JSON")
-    run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run_p.add_argument("--output-dir", default=None, help="override output directory")
-
-    sweep_p = sub.add_parser("sweep", help="run a parameter-grid sweep")
-    sweep_p.add_argument("--config", required=True, help="base experiment config JSON")
+    sub.add_parser("run", parents=[common], help="run one federated experiment")
+    sweep_p = sub.add_parser("sweep", parents=[common], help="run a parameter-grid sweep (point i uses seed + i)")
     sweep_p.add_argument("--grid", required=True, help="JSON mapping of dotted config paths to value lists")
-
-    base_p = sub.add_parser("baseline", help="run the centralized baseline")
-    base_p.add_argument("--config", required=True, help="experiment config JSON")
+    sub.add_parser("baseline", parents=[common], help="run the centralized baseline")
     return parser
 
 
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if getattr(args, "output_dir", None) is not None:
+    if args.output_dir is not None:
         config = replace(config, output_dir=Path(args.output_dir))
     if config.output_dir is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --output-dir")

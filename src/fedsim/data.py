@@ -13,7 +13,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +166,10 @@ class FederationSpec:
             raise ConfigError("negative_duration_s must be positive")
 
 
+# Rows synthesis assembles a pass at a time, so the pass's temporaries stay small beside X.
+SYNTH_BLOCK_ROWS = 1024
+
+
 def _partition_sizes(spec: FederationSpec, rng: np.random.Generator) -> np.ndarray:
     """Heavy-tailed per-user sizes: log-normal fitted to (mean, std), clamped >= 1."""
     if spec.size_std == 0:
@@ -177,54 +181,46 @@ def _partition_sizes(spec: FederationSpec, rng: np.random.Generator) -> np.ndarr
     return np.maximum(np.rint(raw), 1.0).astype(np.intp)
 
 
-def _class_means(spec: FederationSpec) -> np.ndarray:
-    means = np.zeros((spec.class_count, spec.feature_dim))
-    for c in range(spec.class_count):
-        means[c, c % spec.feature_dim] = CLASS_SEPARATION
-    return means
-
-
 def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:
     """Generate an unbalanced federation, deterministically from (spec, seed).
 
     Each user carries a private feature offset of norm user_shift_scale added
     to every example, so user distributions differ while label semantics are
     shared. Positive examples get a uniform [1, 3] s duration; negatives get
-    the fixed configured duration. Random draws are made user by user, so a
-    user's data depends only on the users before it.
+    the fixed configured duration. Only the random draws are made user by
+    user, in the order README's data section gives, so a user's data depends
+    only on the users before it; whole-array passes then assemble the rest.
     """
     rng = np.random.default_rng(seed)
     sizes = _partition_sizes(spec, rng)
-    means = _class_means(spec)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    X = np.empty((offsets[-1], spec.feature_dim))
-    y = np.empty(offsets[-1], dtype=np.intp)
-    duration = np.empty(offsets[-1])
+    n, d = int(offsets[-1]), spec.feature_dim
+    X, duration, draws = np.empty((n, d)), np.empty(n), np.empty(n)
+    y = np.zeros(n, dtype=np.intp)  # 0 is the one negative class when class_count == 2
+    shifts, squares = np.empty((spec.user_count, d)), np.empty(spec.user_count)
     negatives = [c for c in range(spec.class_count) if c != POSITIVE_LABEL]
-
-    for user_id, n_k in enumerate(sizes.tolist()):
-        rows = slice(offsets[user_id], offsets[user_id + 1])
-        direction = rng.standard_normal(spec.feature_dim)
-        norm = np.linalg.norm(direction)
-        offset = spec.user_shift_scale * direction / norm if norm > 0 else np.zeros(spec.feature_dim)
-
-        is_positive = rng.random(n_k) < spec.positive_rate
-        labels = np.where(is_positive, POSITIVE_LABEL, 0)
+    for k, (start, stop) in enumerate(pairwise(offsets.tolist())):
+        direction = rng.standard_normal(out=shifts[k])
+        squares[k] = direction @ direction  # np.linalg.norm of a vector is the root of this dot
+        rng.random(out=draws[start:stop])
         if spec.class_count > 2:
-            labels = np.where(is_positive, POSITIVE_LABEL, rng.choice(negatives, size=n_k))
-        y[rows] = labels
-        X[rows] = means[labels] + offset + rng.standard_normal((n_k, spec.feature_dim))
-        duration[rows] = np.where(
-            is_positive, rng.uniform(1.0, 3.0, size=n_k), spec.negative_duration_s
-        )
-    return Federation(
-        X=X,
-        y=y,
-        duration=duration,
-        user_ids=np.arange(spec.user_count),
-        offsets=offsets,
-        class_count=spec.class_count,
-    )
+            y[start:stop] = rng.choice(negatives, size=stop - start)
+        rng.standard_normal(out=X[start:stop])
+        rng.random(out=duration[start:stop])  # uniform(1, 3) draws this and gives 1 + 2 * it, bit for bit
+
+    is_positive = draws < spec.positive_rate
+    del draws  # freed before the assembly, whose temporaries set synthesis's peak memory
+    y[is_positive] = POSITIVE_LABEL
+    duration = np.where(is_positive, 1.0 + 2.0 * duration, spec.negative_duration_s)
+    # shift = scale * direction / norm; a zero norm leaves signed zeros, which add to a mean as zeros do
+    np.divide(spec.user_shift_scale * shifts, np.sqrt(squares)[:, None], out=shifts, where=squares[:, None] > 0)
+    means = np.zeros((spec.class_count, d))  # class c's mean: CLASS_SEPARATION on axis c mod d
+    means[np.arange(spec.class_count), np.arange(spec.class_count) % d] = CLASS_SEPARATION
+    owner = np.repeat(np.arange(spec.user_count), sizes)
+    for start in range(0, n, SYNTH_BLOCK_ROWS):  # X = (class mean + shift) + noise, the noise in place
+        rows = slice(start, start + SYNTH_BLOCK_ROWS)
+        X[rows] += means[y[rows]] + shifts[owner[rows]]
+    return Federation(X, y, duration, np.arange(spec.user_count), offsets, spec.class_count)
 
 
 def check_split(train_frac: float, dev_frac: float) -> None:
@@ -427,6 +423,8 @@ def load_federation(path: str | Path) -> Federation:
         uid, X, y, duration = (np.concatenate(column) for column in zip(*blocks))
         starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
         return Federation(X, y, duration, uid[starts], np.append(starts, len(uid)), class_count)
+    except UnicodeDecodeError as exc:  # a ValueError, but _load_lines would only meet it again
+        raise FederationFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (ValueError, TypeError, KeyError, RecursionError):
         return _load_lines(path)
 

@@ -8,6 +8,7 @@ the master seed expands into per-purpose seeds via `seeding.derive_seed`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import model as model_ops
 from . import server
-from .client import local_step_count, minibatches
+from .client import FULL_BATCH, minibatches
 from .data import (
     Federation,
     FederationSpec,
@@ -250,10 +251,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
 
-def _log_evaluation(rec: MetricsRecord) -> None:
-    logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
-
-
 def _prepare(config: ExperimentConfig):
     """Build the federation, user split, and initial weights; validate fit."""
     federation = config.federation.realize(derive_seed(config.master_seed, "federation"))
@@ -339,9 +336,9 @@ def _optimize(
                     wall_seconds=time.perf_counter() - t0,
                 )
             )
-            _log_evaluation(metrics[-1])
+            rec = metrics[-1]
+            logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
             if config.output_dir is not None:
-                rec = metrics[-1]
                 _write_row(
                     Path(config.output_dir) / "metrics.csv",
                     ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"],
@@ -379,10 +376,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         state, record = run_round(
             state, federation, train, config, derive_seed(config.master_seed, "round", t)
         )
-        total_local_steps += sum(
-            local_step_count(n_k, config.local.batch_size, config.local.epochs)
-            for n_k in federation.sizes(record.selected_users).tolist()
-        )
+        sizes = federation.sizes(record.selected_users)  # client.local_step_count of each at once
+        batch = sizes if config.local.batch_size is FULL_BATCH else config.local.batch_size
+        total_local_steps += config.local.epochs * int(np.maximum(-(-sizes // batch), 1).sum())
         upload_mb = upload_cost_bytes(config.model.param_count, config.participation, t) / 1e6
         train_loss = functools.partial(
             cohort_loss, config.model, broadcast, federation, record.selected_users
@@ -446,6 +442,13 @@ def _set_dotted(mapping: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+def _with_message(exc: Exception, message: str) -> Exception:
+    """`message` as an exception of exc's type, or of its nearest base type that takes a message alone."""
+    for cls in type(exc).__mro__:  # UnicodeDecodeError takes five arguments; UnicodeError, any
+        with contextlib.suppress(TypeError):
+            return cls(message)
+
+
 def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cross-product sweep over dotted config paths.
 
@@ -492,7 +495,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         try:
             result = run_experiment(point_config)
         except (ValueError, EvaluationError, FloatingPointError, OSError) as exc:
-            raise type(exc)(f"sweep point {params}: {exc}") from None
+            raise _with_message(exc, f"sweep point {params}: {exc}") from None
         cells = [json.dumps(v) if isinstance(v, (dict, list)) else v for v in params.values()]
         for rec in result.metrics:
             values = {"round": rec.round, "dev_metric": rec.dev_metric, "train_loss_mean": rec.train_loss_mean}

@@ -223,6 +223,45 @@ def test_file_that_is_not_utf8_prints_one_line_naming_it_in_a_subprocess(config_
     assert proc.stderr == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n", proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_federation_file_that_is_not_utf8_prints_one_line_naming_it_in_a_subprocess(config_file, command):
+    path, tmp_path = config_file
+    federation, grid = tmp_path / "federation.jsonl", tmp_path / "grid.json"
+    spec = FederationSpec(user_count=20, size_mean=10.0, size_std=4.0, feature_dim=3, positive_rate=0.35)
+    save_federation(synthesize_federation(spec, seed=1), federation)
+    # beyond the first 8 KiB, which the sweep's header check decodes before any point runs
+    assert federation.stat().st_size > 8192
+    with federation.open("ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"federation": {"load": str(federation)}}))
+    grid.write_text(json.dumps({"participation": [1.0]}))
+    args = ["--grid", str(grid)] if command == "sweep" else []
+    proc = run_cli_subprocess(command, "--config", str(path), *args)
+    assert proc.returncode == 1
+    point = "sweep point {'participation': 1.0}: " if command == "sweep" else ""
+    assert proc.stderr == f"error: {point}{federation}: not UTF-8 text (invalid start byte)\n", proc.stderr
+
+
+@pytest.mark.parametrize("command, written", [("sweep", "sweep.csv"), ("baseline", "metrics.csv")])
+def test_output_dir_and_seed_options_of_sweep_and_baseline_in_a_subprocess(config_file, command, written):
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text()) | {"max_rounds": 3, "baseline_mode": "central_sgd"}
+    del raw["output_dir"]
+    path.write_text(json.dumps(raw))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"participation": [1.0]}))
+    args = ["--grid", str(grid)] if command == "sweep" else []
+    out = tmp_path / "given"
+    proc = run_cli_subprocess(command, "--config", str(path), *args, "--output-dir", str(out), "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert (out / written).stat().st_size > 0
+    report = out / "report.json"
+    if command == "baseline":
+        assert json.loads(report.read_text())["config_echo"]["master_seed"] == 3
+    else:  # a sweep writes sweep.csv alone
+        assert not report.exists()
+
+
 def test_overflowing_pseudo_gradient_fails_with_round(config_file, capsys):
     # client weights of order 1e200 stay finite, and Adam's step stays small
     # once its second moment is inf, so only the round-level guard stops it

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,82 @@ def tiny_federation() -> Federation:
     return make_federation({1: [example(0.1, 0), example(0.2, 1)], 2: [example(0.3, 1)]})
 
 
+def reference_synthesize(spec: FederationSpec, seed: int) -> Federation:
+    """synthesize_federation as a per-user loop that also assembles each user's rows."""
+    rng = np.random.default_rng(seed)
+    sizes = fedsim.data._partition_sizes(spec, rng)
+    means = np.zeros((spec.class_count, spec.feature_dim))
+    for c in range(spec.class_count):
+        means[c, c % spec.feature_dim] = fedsim.data.CLASS_SEPARATION
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    X = np.empty((offsets[-1], spec.feature_dim))
+    y = np.empty(offsets[-1], dtype=np.intp)
+    duration = np.empty(offsets[-1])
+    negatives = [c for c in range(spec.class_count) if c != POSITIVE_LABEL]
+
+    for user_id, n_k in enumerate(sizes.tolist()):
+        rows = slice(offsets[user_id], offsets[user_id + 1])
+        direction = rng.standard_normal(spec.feature_dim)
+        norm = np.linalg.norm(direction)
+        offset = spec.user_shift_scale * direction / norm if norm > 0 else np.zeros(spec.feature_dim)
+
+        is_positive = rng.random(n_k) < spec.positive_rate
+        labels = np.where(is_positive, POSITIVE_LABEL, 0)
+        if spec.class_count > 2:
+            labels = np.where(is_positive, POSITIVE_LABEL, rng.choice(negatives, size=n_k))
+        y[rows] = labels
+        X[rows] = means[labels] + offset + rng.standard_normal((n_k, spec.feature_dim))
+        duration[rows] = np.where(
+            is_positive, rng.uniform(1.0, 3.0, size=n_k), spec.negative_duration_s
+        )
+    return Federation(
+        X=X,
+        y=y,
+        duration=duration,
+        user_ids=np.arange(spec.user_count),
+        offsets=offsets,
+        class_count=spec.class_count,
+    )
+
+
+def column_bytes(federation: Federation) -> dict:
+    return {name: (getattr(federation, name).dtype, getattr(federation, name).tobytes())
+            for name in ("X", "y", "duration", "offsets", "user_ids")}
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize(
+        "user_count,class_count,size_std,user_shift_scale,feature_dim",
+        list(itertools.product([1, 400], [2, 4], [0.0, 5.0], [0.0, 1.5], [1, 10])),
+    )
+    def test_equals_the_per_user_reference_bit_for_bit(
+        self, user_count, class_count, size_std, user_shift_scale, feature_dim
+    ):
+        spec = FederationSpec(user_count=user_count, size_mean=6.0, size_std=size_std, class_count=class_count,
+                              user_shift_scale=user_shift_scale, feature_dim=feature_dim)
+        for seed in (0, 1, 2, 2024):
+            got, want = synthesize_federation(spec, seed), reference_synthesize(spec, seed)
+            assert got.class_count == want.class_count
+            assert column_bytes(got) == column_bytes(want)
+
+    def test_rows_span_several_blocks_bit_for_bit(self):
+        spec = FederationSpec(user_count=300, size_mean=20.0, size_std=15.0, class_count=3, feature_dim=5)
+        fed = synthesize_federation(spec, seed=5)
+        assert fed.total_examples > 3 * fedsim.data.SYNTH_BLOCK_ROWS
+        assert column_bytes(fed) == column_bytes(reference_synthesize(spec, seed=5))
+
+    def test_peak_memory_at_paper_scale(self):
+        # the draws land in the output arrays; what else synthesis holds is small beside X
+        spec = FederationSpec(user_count=1774, feature_dim=40)
+        tracemalloc.start()
+        try:
+            fed = synthesize_federation(spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (fed.X.nbytes + fed.y.nbytes + fed.duration.nbytes)
+        assert column_bytes(fed) == column_bytes(reference_synthesize(spec, seed=0))
+
     def test_matches_table_statistics(self):
         # crowdsourced-style target: heavy per-user imbalance around mean 39 / std 32
         # with an 18% positive rate; windows absorb sampling noise at K=1374
@@ -190,6 +267,20 @@ class TestFederationFile:
         with pytest.raises(ValueError, match="finite"):
             save_federation(fed, tmp_path / "federation.jsonl")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["header", "first block", "after the first block"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, where):
+        path = tmp_path / "federation.jsonl"
+        spec = FederationSpec(user_count=300, size_mean=3.0, size_std=1.0)
+        save_federation(synthesize_federation(spec, seed=1), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = {"header": 0, "first block": 3, "after the first block": len(lines) - 1}[where]
+        assert at < LOAD_BLOCK_LINES or len(lines) > LOAD_BLOCK_LINES + 1
+        lines[at] = b"\xff\xfe\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FederationFormatError) as info:
+            load_federation(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_duplicate_user_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"

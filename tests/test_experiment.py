@@ -18,6 +18,7 @@ from fedsim import (
     EvalTargets,
     EvaluationError,
     ExperimentConfig,
+    FULL_BATCH,
     Federation,
     FederationSource,
     FederationSpec,
@@ -27,6 +28,7 @@ from fedsim import (
     ServerState,
     SplitConfig,
     derive_seed,
+    local_step_count,
     run_round,
     save_federation,
     split_users,
@@ -422,6 +424,26 @@ class TestRunExperiment:
         # full participation, full batch, one epoch: one step per client per round
         assert result.report["total_local_steps"] == 2 * len(train)
 
+    @pytest.mark.parametrize("batch_size", [1, 3, FULL_BATCH])
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_total_local_steps_is_the_per_client_sum(self, monkeypatch, batch_size, epochs):
+        real, cohorts = fedsim.experiment.run_round, []
+
+        def spy(state, federation, train, config, seed):
+            state, record = real(state, federation, train, config, seed)
+            cohorts.append(federation.sizes(record.selected_users).tolist())
+            return state, record
+
+        monkeypatch.setattr(fedsim.experiment, "run_round", spy)
+        raw = base_raw(max_rounds=4, participation=0.5, targets={"fah_budget": 1.0, "recall_target": 1.0})
+        raw["federation"]["synthesize"].update(user_count=40, size_mean=3.0, size_std=4.0)
+        raw["local"] = {"epochs": epochs, "batch_size": batch_size, "eta_local": 0.0}  # no round meets the target
+        result = run_experiment(config_from_dict(raw))
+        assert min(min(sizes) for sizes in cohorts) == 1 and len(cohorts) == 4
+        expected = sum(local_step_count(n_k, batch_size, epochs) for sizes in cohorts for n_k in sizes)
+        assert result.report["total_local_steps"] == expected
+        assert type(result.report["total_local_steps"]) is int
+
 
 class TestRunBaseline:
     def _raw(self, mode: str, seed: int = 8, **overrides):
@@ -637,6 +659,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match=key):
             sweep(cfg, {"participation": [0.5], key: values})
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_point_error_whose_type_takes_other_arguments_names_the_point(self, monkeypatch):
+        # UnicodeDecodeError cannot be built from a message alone; its base UnicodeError can
+        def undecodable(config):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(fedsim.experiment, "run_experiment", undecodable)
+        with pytest.raises(UnicodeError) as info:
+            sweep(config_from_dict(base_raw(max_rounds=2)), {"participation": [0.5]})
+        assert str(info.value) == ("sweep point {'participation': 0.5}: "
+                                   "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
 
     def test_empty_grid_rejected(self):
         cfg = config_from_dict(base_raw())
