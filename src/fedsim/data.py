@@ -351,6 +351,28 @@ def _parse_header(raw: str) -> tuple[int, int]:
     return feature_dim, class_count
 
 
+@contextmanager
+def _federation_file(path: Path):
+    """(the text file after its header line, feature_dim, class_count); errors met in the block name the file."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            head = fh.readline()
+            if not head.strip() and not any(line.strip() for line in fh):
+                raise ConfigError(f"{path}: empty federation file")
+            yield fh, *_parse_header(head)
+    except UnicodeDecodeError as exc:
+        raise FederationFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except FederationFormatError as exc:  # the file, then the line the message names
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def read_header(path: str | Path) -> tuple[int, int]:
+    """(feature_dim, class_count) of a federation file, read as load_federation reads it."""
+    with _federation_file(Path(path)) as (_, feature_dim, class_count):
+        return feature_dim, class_count
+
+
 def _load_lines(path: Path) -> Federation:
     """load_federation's per-line loop, the one home of its errors and their line numbers."""
     features = array("d")  # row-major, feature_dim values a record
@@ -359,12 +381,8 @@ def _load_lines(path: Path) -> Federation:
     user_ids: list[int] = []
     offsets: list[int] = []
     seen: set[int] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with _federation_file(path) as (fh, feature_dim, class_count):
         lines = (raw.removesuffix("\n") for raw in fh)  # universal newlines: \r\n and \r read as \n
-        head = next(lines, "")
-        if not head.strip() and not any(line.strip() for line in lines):
-            raise ConfigError(f"{path}: empty federation file")
-        feature_dim, class_count = _parse_header(head)
         for line_no, raw in enumerate(lines, start=2):
             if not raw.strip():
                 continue
@@ -402,9 +420,7 @@ def load_federation(path: str | Path) -> Federation:
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            head = fh.readline()
-            feature_dim, class_count = _parse_header(head)
+        with _federation_file(path) as (fh, feature_dim, class_count):
             lines, blocks = (line for line in fh if not line.isspace()), []
             while block := list(islice(lines, LOAD_BLOCK_LINES)):
                 text, n = "[" + ",".join(block) + "]", len(block)
@@ -423,8 +439,6 @@ def load_federation(path: str | Path) -> Federation:
         uid, X, y, duration = (np.concatenate(column) for column in zip(*blocks))
         starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
         return Federation(X, y, duration, uid[starts], np.append(starts, len(uid)), class_count)
-    except UnicodeDecodeError as exc:  # a ValueError, but _load_lines would only meet it again
-        raise FederationFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (ValueError, TypeError, KeyError, RecursionError):
         return _load_lines(path)
 

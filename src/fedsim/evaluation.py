@@ -23,9 +23,9 @@ logger = logging.getLogger(__name__)
 # Sentinel threshold just above every attainable score: nothing triggers.
 TAU_ABOVE_ALL = math.nextafter(1.0, 2.0)
 
-# Rows a chunked pass (evaluation, the cohort loss) gathers and runs
-# through the model at a time. One pass over every evaluation row took the
-# paper-scale run's peak RSS from 67 to 108 MB; 512-row runs, to about 70 MB.
+# Rows a model pass (scoring, the cohort and baseline train losses) takes at a
+# time (row_blocks). One pass over every evaluation row took the paper-scale
+# run's peak RSS from 67 to 108 MB; 512-row runs, to about 70 MB.
 EVAL_ROWS = 512
 
 
@@ -108,24 +108,11 @@ def operating_points(
     return tau, hits / n_pos, false_alarms / neg_hours
 
 
-def run_firsts(sizes) -> np.ndarray:
-    """Which of consecutive users (sizes in order) begin a run of whole users: those whose first
-    row falls in a new EVAL_ROWS block, so a run has fewer than EVAL_ROWS rows plus its last user's."""
-    starts = np.cumsum(sizes) - sizes
-    return np.diff(starts // EVAL_ROWS, prepend=-1) != 0
-
-
-def row_chunks(rows: np.ndarray, sizes) -> list[np.ndarray]:
-    """Split rows (indices, or data along them) of consecutive users, sizes in
-    order, into the runs of run_firsts.
-
-    A one-row user is a run of its own: numpy multiplies a one-row matrix
-    with gemv, which rounds differently from gemm, so only alone does its
-    row come out as a pass over that user's rows computes it.
-    """
-    single, first = np.equal(sizes, 1), run_firsts(sizes)
-    first[1:] |= single[1:] | single[:-1]
-    return np.split(rows, (np.cumsum(sizes) - sizes)[first][1:])
+def row_blocks(rows: np.ndarray) -> list[np.ndarray]:
+    """rows (indices, or data along them) in blocks of EVAL_ROWS, whichever users
+    they belong to, a one-row tail joining the block before it: numpy multiplies
+    a one-row matrix with gemv, which rounds differently from gemm."""
+    return np.split(rows, range(EVAL_ROWS, len(rows) - 1, EVAL_ROWS))
 
 
 def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.ndarray, np.ndarray, list]:
@@ -160,13 +147,11 @@ def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.nd
 
 def _segment_recalls(spec, w, federation, user_ids, targets, pooled) -> tuple[np.ndarray, np.ndarray]:
     """Sizes and recalls of the eval_segments segments, every segment's operating
-    point in one search. Users' rows are scored in runs of whole users (row_chunks);
-    a pool's, in EVAL_ROWS blocks, a one-row tail joining the block before it."""
+    point in one search. The rows are scored in row_blocks, whatever the segments."""
     rows, sizes, skipped = eval_segments(federation, user_ids, pooled)
     if skipped:
         logger.info("federated_eval skipped %d user(s) without both classes: %s", len(skipped), skipped)
-    chunks = np.split(rows, range(EVAL_ROWS, len(rows) - 1, EVAL_ROWS)) if pooled else row_chunks(rows, sizes)
-    scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in chunks])
+    scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in row_blocks(rows)])
     return sizes, operating_points(scores, federation.y[rows], federation.duration[rows], sizes, targets)[1]
 
 

@@ -32,9 +32,9 @@ from .client import FULL_BATCH, minibatches
 from .data import (
     Federation,
     FederationSpec,
-    _parse_header,
     check_split,
     load_federation,
+    read_header,
     replacing,
     split_users,
     synthesize_federation,
@@ -401,13 +401,13 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     Each step is one mini-batch, drawn from the clients' batch generator with
     seed parts (master_seed, "baseline"), with plain SGD at eta_local or the
     server's Adam at the strategy's settings; an evaluation row's train loss
-    is the mean row loss over the whole train pool (server.pool_row_losses).
+    is the plain mean of server.pool_row_losses over the whole train pool.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-    rows, sizes = federation.rows(train)
+    rows = federation.rows(train)[0]
     X, y = federation.X[rows], federation.y[rows]
     batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
     state = ServerState.initial(w0)
@@ -425,7 +425,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
         w = state.weights
-        return w, 0.0, lambda: float(server.pool_row_losses(config.model, w, X, y, sizes).mean())
+        return w, 0.0, lambda: float(server.pool_row_losses(config.model, w, X, y).mean())
 
     metrics, report, steps_to_target = _optimize(config, step, "step", federation, dev, test, t0)
     report.update(steps_to_target=steps_to_target, pooled_examples=len(y))
@@ -482,8 +482,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         try:
             point_config = config_from_dict(raw)
             if (path := point_config.federation.load) is not None:
-                with path.open("r", encoding="utf-8") as fh:
-                    _check_fit(point_config.model, *_parse_header(fh.readline()))
+                _check_fit(point_config.model, *read_header(path))
         except (ValueError, OSError) as exc:  # a ConfigError, or a header that cannot be read
             raise ConfigError(f"sweep point {dict(zip(keys, combo))}: {exc}") from None
         points.append((dict(zip(keys, combo)), point_config))

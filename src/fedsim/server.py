@@ -20,7 +20,6 @@ from . import evaluation, model
 from .client import LocalTrainingConfig, local_step_count, train_local, train_one_step
 from .data import Federation
 from .errors import ConfigError, require_finite
-from .evaluation import row_chunks
 from .model import ModelSpec
 from .seeding import derive_seed
 
@@ -210,10 +209,12 @@ def run_round(
     sizes = federation.sizes(selected).tolist()
     w_prev = state.weights
     if local_step_count(max(sizes), cfg.local.batch_size, cfg.local.epochs) == 1:  # steps grow with n_k
-        # a block: clients of one run_firsts run whose weights fill at most EVAL_ROWS**2 floats (2 MiB),
-        # about an EVAL_ROWS-row pass of the paper-scale model; so one-row clients stay bounded too
+        # blocks of whole clients: a new one begins at each client whose first row falls in a new
+        # EVAL_ROWS-row block of the cohort's rows, and one holds at most EVAL_ROWS**2 floats of weights
+        # (2 MiB, about an EVAL_ROWS-row pass of the paper-scale model); so one-row clients stay bounded too
         most = max(1, evaluation.EVAL_ROWS**2 // cfg.model.param_count)
-        firsts = np.flatnonzero(evaluation.run_firsts(sizes)).tolist() + [len(selected)]
+        starts = np.cumsum(sizes) - sizes
+        firsts = np.flatnonzero(np.diff(starts // evaluation.EVAL_ROWS, prepend=-1)).tolist() + [len(selected)]
         blocks = [(lo, min(lo + most, b)) for a, b in zip(firsts, firsts[1:]) for lo in range(a, b, most)]
         client_weights = (train_one_step(w_prev, federation, selected[lo:hi], cfg.local, cfg.model, round_seed)
                           for lo, hi in blocks)
@@ -242,12 +243,11 @@ def run_round(
     return new_state, record
 
 
-def pool_row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, sizes) -> np.ndarray:
-    """Cross-entropy at w of every row of (X, y), which hold consecutive users'
-    rows (sizes in order). The rows go through the model as views, in runs of
-    whole users (row_chunks), so that no pass is much longer than EVAL_ROWS."""
-    runs = zip(row_chunks(X, sizes), row_chunks(y, sizes))
-    return np.concatenate([model.row_losses(spec, w, X_run, y_run) for X_run, y_run in runs])
+def pool_row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy at w of every row of (X, y). The rows go through the model
+    as views in row_blocks, whichever users they belong to."""
+    blocks = zip(evaluation.row_blocks(X), evaluation.row_blocks(y))
+    return np.concatenate([model.row_losses(spec, w, X_block, y_block) for X_block, y_block in blocks])
 
 
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
@@ -256,10 +256,11 @@ def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids
 
     A user's loss is the mean of its rows' pool_row_losses, reduced as
     loss_from_arrays reduces them: `x.mean()` is `np.add.reduce(x) / len(x)`,
-    without the overhead of the method.
+    without the overhead of the method. Its rows share blocks with other
+    users', so it may differ in the last bit from a pass over them alone.
     """
     rows, sizes = federation.rows(sorted(user_ids))
-    losses, sizes = pool_row_losses(spec, w, federation.X[rows], federation.y[rows], sizes), sizes.tolist()
+    losses, sizes = pool_row_losses(spec, w, federation.X[rows], federation.y[rows]), sizes.tolist()
     n_r, ends = sum(sizes), itertools.accumulate(sizes)
     return float(
         sum((n_k / n_r) * float(np.add.reduce(losses[e - n_k : e]) / n_k) for n_k, e in zip(sizes, ends))

@@ -206,7 +206,7 @@ def test_deeply_nested_json_prints_one_line_in_a_subprocess(config_file, target)
     expected = {
         "config": f"error: {path}: invalid JSON (nested too deeply)\n",
         "grid": f"error: {grid}: invalid JSON (nested too deeply)\n",
-        "federation": "error: line 3: invalid JSON: nested too deeply\n",
+        "federation": f"error: {federation}: line 3: invalid JSON: nested too deeply\n",
     }[target]
     assert proc.stderr == expected, proc.stderr
 
@@ -227,19 +227,20 @@ def test_file_that_is_not_utf8_prints_one_line_naming_it_in_a_subprocess(config_
 def test_federation_file_that_is_not_utf8_prints_one_line_naming_it_in_a_subprocess(config_file, command):
     path, tmp_path = config_file
     federation, grid = tmp_path / "federation.jsonl", tmp_path / "grid.json"
-    spec = FederationSpec(user_count=20, size_mean=10.0, size_std=4.0, feature_dim=3, positive_rate=0.35)
-    save_federation(synthesize_federation(spec, seed=1), federation)
-    # beyond the first 8 KiB, which the sweep's header check decodes before any point runs
-    assert federation.stat().st_size > 8192
-    with federation.open("ab") as fh:
-        fh.write(b"\xff\xfe\n")
     path.write_text(json.dumps(json.loads(path.read_text()) | {"federation": {"load": str(federation)}}))
     grid.write_text(json.dumps({"participation": [1.0]}))
     args = ["--grid", str(grid)] if command == "sweep" else []
-    proc = run_cli_subprocess(command, "--config", str(path), *args)
-    assert proc.returncode == 1
     point = "sweep point {'participation': 1.0}: " if command == "sweep" else ""
-    assert proc.stderr == f"error: {point}{federation}: not UTF-8 text (invalid start byte)\n", proc.stderr
+    for user_count in (3, 20):
+        spec = FederationSpec(user_count=user_count, size_mean=10.0, size_std=4.0, feature_dim=3, positive_rate=0.35)
+        save_federation(synthesize_federation(spec, seed=1), federation)
+        # within, then beyond, the first 8 KiB, which the header check (read_header) decodes before any point runs
+        assert (federation.stat().st_size > 8192) == (user_count == 20)
+        with federation.open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        proc = run_cli_subprocess(command, "--config", str(path), *args)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {point}{federation}: not UTF-8 text (invalid start byte)\n", proc.stderr
 
 
 @pytest.mark.parametrize("command, written", [("sweep", "sweep.csv"), ("baseline", "metrics.csv")])

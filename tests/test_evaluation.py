@@ -28,7 +28,7 @@ from fedsim import (
     score_examples,
     synthesize_federation,
 )
-from fedsim.evaluation import eval_segments, operating_points, row_chunks
+from fedsim.evaluation import eval_segments, operating_points, row_blocks
 from fedsim.server import cohort_loss, pool_row_losses
 
 from conftest import LabeledExample, brute_force_operating_point, forward, make_federation, scored, scored_set
@@ -394,21 +394,18 @@ class TestSegmentedRecall:
                 with pytest.raises(EvaluationError):
                     pooled_eval(SPEC_1D, W_1D, federation, ids, targets)
 
-    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=30), eval_rows=st.integers(1, 20))
+    @given(n=st.integers(0, 120), eval_rows=st.integers(2, 20))
     @settings(max_examples=100, deadline=None)
-    def test_row_chunks_hold_whole_users_in_order(self, sizes, eval_rows):
-        rows = np.arange(sum(sizes)) * 3  # any row indices
+    def test_row_blocks_are_fixed_blocks_in_order(self, n, eval_rows):
+        rows = np.arange(3 * n).reshape(n, 3)  # any data along the rows
         with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
-            runs = row_chunks(rows, sizes)
-        assert np.array_equal(np.concatenate(runs), rows)
-        bounds = np.cumsum([0] + sizes).tolist()  # where each user's rows start, then the end
-        start = 0
-        for run in runs:
-            assert start + len(run) in bounds  # whole users
-            users = sizes[bounds.index(start) : bounds.index(start + len(run))]
-            assert len(run) < eval_rows + users[-1]
-            assert len(users) == 1 or 1 not in users  # a one-row user is alone
-            start += len(run)
+            blocks = row_blocks(rows)
+        assert np.array_equal(np.concatenate(blocks), rows)
+        assert [len(b) for b in blocks[:-1]] == [eval_rows] * (len(blocks) - 1)
+        if n < 2:  # too short for a block without a one-row pass
+            assert len(blocks) == 1
+        else:
+            assert 2 <= len(blocks[-1]) <= eval_rows + 1
 
     @given(
         users=st.lists(
@@ -455,8 +452,9 @@ class TestSegmentedRecall:
 
 class TestChunkedPasses:
     """federated_eval and the cohort loss do not depend on EVAL_ROWS; on
-    [10, 2] they equal the one-pass-per-user results bit for bit, and the
-    mean of a pool's chunked row losses equals its one-pass loss."""
+    [10, 2] federated_eval equals the one-pass-per-user result bit for bit,
+    the cohort loss one pass over the gathered rows, and the mean of a pool's
+    blocked row losses its one-pass loss."""
 
     @staticmethod
     def setting(layer_dims, seed):
@@ -474,18 +472,31 @@ class TestChunkedPasses:
         n_r = sum(p.size for p in parts)
         return float(sum((p.size / n_r) * loss_from_arrays(spec, w, p.X, p.y) for p in parts))
 
+    @staticmethod
+    def one_pass_cohort_loss(spec, w, federation, user_ids):
+        """cohort_loss's n_k / n_r reduction over one model.row_losses pass of the gathered rows."""
+        rows, sizes = federation.rows(sorted(user_ids))
+        losses = fedsim.model.row_losses(spec, w, federation.X[rows], federation.y[rows])
+        n_r, acc = int(sizes.sum()), 0.0
+        for start, n_k in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
+            acc += (n_k / n_r) * float(losses[start : start + n_k].mean())
+        return acc
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_bit_identical_on_linear_model(self, monkeypatch, seed):
+        # a one-row user's row shares a gemm pass with other users' rows, where
+        # alone it would go through gemv; so the cohort loss is held to one pass
+        # over the gathered rows, not to one pass per user
         federation, spec, w, users = self.setting((10, 2), seed)
         targets = EvalTargets(fah_budget=200.0)
         results = []
-        for eval_rows in (1, 10**9):
+        for eval_rows in (2, 64, 512, 10**9):
             monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
             results.append((federated_eval(spec, w, federation, users, targets),
                             cohort_loss(spec, w, federation, users)))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2] == results[3]
         assert results[0][0] == per_user_federated_eval(spec, w, federation, users, targets)
-        assert results[0][1] == self.per_user_cohort_loss(spec, w, federation, users)
+        assert results[0][1] == self.one_pass_cohort_loss(spec, w, federation, users)
 
     def test_cohort_loss_close_on_hidden_layer_model(self, monkeypatch):
         federation, spec, w, users = self.setting((10, 16, 2), 5)
@@ -502,10 +513,10 @@ class TestChunkedPasses:
     def test_pool_loss_is_the_gathered_pools_loss(self, monkeypatch, layer_dims, eval_rows):
         # the baseline's train loss: the mean of the chunked row losses of a pool
         federation, spec, w, users = self.setting(layer_dims, 6)
-        rows, sizes = federation.rows(users)
+        rows = federation.rows(users)[0]
         monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
         X, y = federation.X[rows], federation.y[rows]
-        got = float(pool_row_losses(spec, w, X, y, sizes).mean())
+        got = float(pool_row_losses(spec, w, X, y).mean())
         expected = loss_from_arrays(spec, w, X, y)
         if len(layer_dims) == 2:
             assert got == expected
@@ -514,47 +525,61 @@ class TestChunkedPasses:
 
 
 class TestPooledBlocks:
-    """pooled_eval scores its pool in EVAL_ROWS blocks, a one-row tail joining
-    the block before it, with the one-pass recall on [10, 2]."""
+    """Pooled and federated scoring and the cohort loss pass their rows through
+    the model in EVAL_ROWS blocks, a one-row tail joining the block before it,
+    with results that do not depend on EVAL_ROWS."""
 
     @staticmethod
-    def setting(seed):
+    def setting(seed, layer_dims=(10, 2)):
         federation = synthesize_federation(
             FederationSpec(user_count=200, size_mean=6.0, size_std=5.0, positive_rate=0.3), seed
         )
-        spec = ModelSpec((10, 2))
+        spec = ModelSpec(layer_dims)
         return federation, spec, federation.user_ids.tolist()
 
     @pytest.mark.parametrize("eval_rows", [64, "tail"])
-    def test_no_pass_exceeds_a_block_and_a_row(self, monkeypatch, eval_rows):
+    @pytest.mark.parametrize("caller", ["pooled", "federated", "cohort"])
+    def test_no_pass_exceeds_a_block_and_a_row(self, monkeypatch, caller, eval_rows):
         federation, spec, users = self.setting(1)
-        pool = len(federation.rows(users)[0])
-        # "tail": blocks of (pool - 1) / 2 rows leave a one-row tail
-        eval_rows = (pool - 1) // 2 if eval_rows == "tail" else eval_rows
+        # the rows the caller passes: every user's, or its scored segments' (federated: usable users')
+        if caller == "cohort":
+            rows = federation.rows(users)[0]
+        else:
+            rows = eval_segments(federation, users, caller == "pooled")[0]
+        # "tail": blocks of (rows - 1) / 2 rows leave a one-row tail
+        eval_rows = (len(rows) - 1) // 2 if eval_rows == "tail" else eval_rows
         monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-        real, passes = fedsim.model.batch_probs, []
+        name = "row_losses" if caller == "cohort" else "batch_probs"
+        real, passes = getattr(fedsim.model, name), []
 
-        def counting(spec, w, X):
+        def counting(spec, w, X, *y):
             passes.append(len(X))
-            return real(spec, w, X)
+            return real(spec, w, X, *y)
 
-        monkeypatch.setattr(fedsim.model, "batch_probs", counting)
-        pooled_eval(spec, np.zeros(spec.param_count), federation, users, EvalTargets())
-        assert sum(passes) == pool and len(passes) > 1
+        monkeypatch.setattr(fedsim.model, name, counting)
+        w = np.zeros(spec.param_count)
+        if caller == "cohort":
+            cohort_loss(spec, w, federation, users)
+        else:
+            (pooled_eval if caller == "pooled" else federated_eval)(spec, w, federation, users, EvalTargets())
+        assert sum(passes) == len(rows) and len(passes) > 1
         assert passes[:-1] == [eval_rows] * (len(passes) - 1) and 2 <= passes[-1] <= eval_rows + 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_for_any_block_size(self, monkeypatch, seed):
-        federation, spec, users = self.setting(seed)
         rng = np.random.default_rng(seed)
         targets = EvalTargets(fah_budget=50.0)
-        for _ in range(20):
-            w = rng.standard_normal(spec.param_count)
-            recalls = []
-            for eval_rows in (64, 512, 10**9):
-                monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-                recalls.append(pooled_eval(spec, w, federation, users, targets))
-            assert recalls[0] == recalls[1] == recalls[2]
+        for layer_dims in ((10, 2), (10, 16, 2)):
+            federation, spec, users = self.setting(seed, layer_dims)
+            for _ in range(20):
+                w = rng.standard_normal(spec.param_count)
+                results = []
+                for eval_rows in (64, 512, 10**9):
+                    monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+                    results.append((pooled_eval(spec, w, federation, users, targets),
+                                    federated_eval(spec, w, federation, users, targets),
+                                    cohort_loss(spec, w, federation, users)))
+                assert results[0] == results[1] == results[2], layer_dims
 
 
 class TestEarlyStop:

@@ -485,7 +485,7 @@ class TestRunBaseline:
         )
 
     def test_train_loss_runs_are_bounded(self, monkeypatch):
-        # the train pool spans several runs; no loss pass takes more than one
+        # the train pool spans several EVAL_ROWS blocks; every loss pass takes one, a short tail joining the last
         raw = self._raw("central_sgd", max_rounds=3)
         raw["federation"]["synthesize"]["user_count"] = 400
         cfg = config_from_dict(raw)
@@ -501,7 +501,7 @@ class TestRunBaseline:
         sizes = federation.sizes(train)
         assert sizes.sum() > 4 * fedsim.evaluation.EVAL_ROWS
         assert sum(counts) == len(result.metrics) * sizes.sum()  # every train row, once per row written
-        assert max(counts) <= fedsim.evaluation.EVAL_ROWS + sizes.max()
+        assert all(2 <= count <= fedsim.evaluation.EVAL_ROWS + 1 for count in counts)
 
     def test_adam_converges_faster_than_sgd(self):
         adam = run_baseline(config_from_dict(self._raw("central_adam")))
