@@ -9,7 +9,6 @@ false-alarms-per-hour budget, with communication-cost accounting.
 from .client import FULL_BATCH, LocalTrainingConfig, local_step_count, train_local
 from .data import (
     POSITIVE_LABEL,
-    ClientPartition,
     Federation,
     FederationSpec,
     load_federation,

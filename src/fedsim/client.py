@@ -1,8 +1,9 @@
-"""Client-side local training: mini-batch SGD over one user's partition.
+"""Client-side local training: mini-batch SGD over one user's rows of a Federation.
 
-Shuffling is reseeded per (round_seed, user_id, epoch), so a client's
-result does not depend on which other clients train or in what order. The
-centralized baseline draws its batches from the same generator.
+Shuffling is reseeded per (round_seed, user_id, epoch), so a client's result
+depends only on its own rows: not on the federation's other users, nor on
+which other clients train or in what order. The centralized baseline draws
+its batches from the same generator.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import Final
 import numpy as np
 
 from . import model
-from .data import ClientPartition, Federation
+from .data import Federation
 from .errors import ConfigError, require_finite
 from .model import ModelSpec
 from .seeding import derive_seed
 
-# Sentinel batch size: one batch covers the whole partition.
+# Sentinel batch size: one batch covers all of a user's rows.
 FULL_BATCH: Final = None
 
 
@@ -69,17 +70,20 @@ def epoch_order(n: int, *seed_parts) -> np.ndarray:
 
 def train_local(
     w_start: np.ndarray,
-    partition: ClientPartition,
+    federation: Federation,
+    user_id: int,
     cfg: LocalTrainingConfig,
     spec: ModelSpec,
     round_seed: int,
 ) -> np.ndarray:
-    """Run local SGD from the broadcast weights; return the trained weights.
+    """Run local SGD on user_id's rows from the broadcast weights; return the trained weights.
 
     Data is reshuffled once per epoch; the final partial batch is used as-is.
-    w_start is never mutated.
+    w_start is never mutated. An unknown user id raises ValueError.
     """
-    X, y = partition.X, partition.y
+    k = federation.segments([user_id])[0]
+    rows = slice(federation.offsets[k], federation.offsets[k + 1])
+    X, y = federation.X[rows], federation.y[rows]
     n = len(y)
     w = np.array(w_start, dtype=np.float64, copy=True)
     if w.shape != (spec.param_count,):
@@ -88,7 +92,7 @@ def train_local(
     # built once per update; the views of w stay valid because w changes only in place
     buffer = np.empty_like(w)
     workspace = dict(out=buffer, layers=model._layer_views(spec, w), out_layers=model._layer_views(spec, buffer))
-    batches = minibatches(n, cfg.batch_size, round_seed, partition.user_id)
+    batches = minibatches(n, cfg.batch_size, round_seed, user_id)
     try:
         for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
             grad = model.gradient_from_arrays(spec, w, X[idx], y[idx], **workspace)
@@ -98,7 +102,7 @@ def train_local(
         if not np.isfinite(w).all():
             raise FloatingPointError
     except FloatingPointError:
-        raise FloatingPointError(f"user {partition.user_id}: local training diverged") from None
+        raise FloatingPointError(f"user {user_id}: local training diverged") from None
     return w
 
 
@@ -109,9 +113,9 @@ def train_one_step(w_start, federation: Federation, user_ids, cfg: LocalTraining
     pass, each on its epoch-0 order. If a pass raises FloatingPointError or leaves
     a weight non-finite, they train one by one, and train_local names the first."""
     w_start = model._check_params(spec, w_start)
-    segments = federation.segments(user_ids)
-    by_size = np.argsort(np.diff(federation.offsets)[segments], kind="stable")  # a size's users consecutive
-    starts, sizes = federation.offsets[segments[by_size]], np.diff(federation.offsets)[segments[by_size]]
+    sizes = federation.sizes(user_ids)
+    by_size = np.argsort(sizes, kind="stable")  # a size's users consecutive
+    starts, sizes = federation.offsets[federation.segments(user_ids)[by_size]], sizes[by_size]
     orders = [epoch_order(n, round_seed, user_ids[i], 0) for i, n in zip(by_size.tolist(), sizes.tolist())]
     rows = np.concatenate(orders) + np.repeat(starts, sizes)
     X, y = federation.X[rows], federation.y[rows]
@@ -129,8 +133,7 @@ def train_one_step(w_start, federation: Federation, user_ids, cfg: LocalTraining
     except FloatingPointError:
         diverged = True
     if diverged:
-        return np.stack([train_local(w_start, federation.partition(u), cfg, spec, round_seed)
-                         for u in user_ids])
+        return np.stack([train_local(w_start, federation, u, cfg, spec, round_seed) for u in user_ids])
     W = np.empty_like(G)
     W[by_size] = G
     return W

@@ -28,20 +28,6 @@ CLASS_SEPARATION = 3.0
 
 
 @dataclass(frozen=True, eq=False)
-class ClientPartition:
-    """One user's private examples: views of that user's rows of a Federation."""
-
-    user_id: int
-    X: np.ndarray
-    y: np.ndarray
-    duration: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.y)
-
-
-@dataclass(frozen=True, eq=False)
 class Federation:
     """Every user's examples, stored column-wise.
 
@@ -112,13 +98,6 @@ class Federation:
             return np.array([self._segment[u] for u in user_ids], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"unknown user id {exc.args[0]}") from None
-
-    def partition(self, user_id: int) -> ClientPartition:
-        k = self._segment.get(user_id)  # one dict lookup: called per client per round
-        if k is None:
-            raise ValueError(f"unknown user id {user_id}")
-        rows = slice(self.offsets[k], self.offsets[k + 1])
-        return ClientPartition(user_id, self.X[rows], self.y[rows], self.duration[rows])
 
     def sizes(self, user_ids) -> np.ndarray:
         """Example count of each given user, in the order given."""

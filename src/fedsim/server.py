@@ -219,8 +219,7 @@ def run_round(
         client_weights = (train_one_step(w_prev, federation, selected[lo:hi], cfg.local, cfg.model, round_seed)
                           for lo, hi in blocks)
     else:
-        client_weights = (train_local(w_prev, federation.partition(u), cfg.local, cfg.model, round_seed)
-                          for u in selected)
+        client_weights = (train_local(w_prev, federation, u, cfg.local, cfg.model, round_seed) for u in selected)
     try:
         grad = pseudo_gradient(w_prev, sizes, client_weights)
         # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fedsim import POSITIVE_LABEL, ClientPartition, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
+from fedsim import POSITIVE_LABEL, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
 from fedsim.model import batch_probs
 
 
@@ -26,10 +26,6 @@ def stack(examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, y, duration
 
 
-def make_partition(user_id: int, examples) -> ClientPartition:
-    return ClientPartition(user_id, *stack(examples))
-
-
 def make_federation(partitions: dict, class_count: int = 2) -> Federation:
     """Federation of {user_id: [LabeledExample, ...]}, users in dict order."""
     examples = [ex for exs in partitions.values() for ex in exs]
@@ -45,18 +41,21 @@ def make_federation(partitions: dict, class_count: int = 2) -> Federation:
     )
 
 
+def gaussian_examples(rng: np.random.Generator, spec: ModelSpec, n: int) -> list[LabeledExample]:
+    """Random labeled examples matching a model spec."""
+    return [
+        LabeledExample(
+            features=rng.standard_normal(spec.feature_dim),
+            label=int(rng.integers(0, spec.class_count)),
+            duration_s=float(rng.uniform(0.5, 3.0)),
+        )
+        for _ in range(n)
+    ]
+
+
 def gaussian_batch(rng: np.random.Generator, spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random labeled batch (X, y, duration) matching a model spec."""
-    return stack(
-        [
-            LabeledExample(
-                features=rng.standard_normal(spec.feature_dim),
-                label=int(rng.integers(0, spec.class_count)),
-                duration_s=float(rng.uniform(0.5, 3.0)),
-            )
-            for _ in range(n)
-        ]
-    )
+    return stack(gaussian_examples(rng, spec, n))
 
 
 def forward(spec: ModelSpec, w: np.ndarray, features) -> np.ndarray:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import fedsim.model
 from fedsim import (
     AveragingStrategy,
-    ClientPartition,
     FederationSpec,
     LocalTrainingConfig,
     ModelSpec,
@@ -35,7 +34,14 @@ from fedsim import (
 from fedsim.experiment import config_from_dict, run_experiment
 from fedsim.server import RoundConfig, run_round
 
-from conftest import LabeledExample, brute_force_operating_point, finite_difference_check, scored_set, stack
+from conftest import (
+    LabeledExample,
+    brute_force_operating_point,
+    finite_difference_check,
+    make_federation,
+    scored_set,
+    stack,
+)
 from fedsim.evaluation import EvalTargets, operating_point
 
 
@@ -92,8 +98,8 @@ def test_fedsgd_pooled_gradient_equivalence():
     for t in range(20):
         w_prev = state.weights.copy()
         state, record = run_round(state, federation, list(federation.user_ids), cfg, 7000 + t)
-        X = np.concatenate([federation.partition(uid).X for uid in record.selected_users])
-        y = np.concatenate([federation.partition(uid).y for uid in record.selected_users])
+        rows, _ = federation.rows(record.selected_users)
+        X, y = federation.X[rows], federation.y[rows]
         expected = w_prev - eta_local * gradient_from_arrays(spec, w_prev, X, y)
         assert np.max(np.abs(state.weights - expected)) < 1e-10
     assert time.perf_counter() - start < 10.0
@@ -244,13 +250,13 @@ def test_instrumented_gradient_count_matches_formula(n_k, batch, epochs):
         out.fill(0.0)
         return out
 
-    partition = ClientPartition(1, np.zeros((n_k, 2)), np.arange(n_k) % 2, np.zeros(n_k))
+    federation = make_federation({1: [LabeledExample(np.zeros(2), i % 2) for i in range(n_k)]})
     cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.1)
 
     original = fedsim.model.gradient_from_arrays
     fedsim.model.gradient_from_arrays = counting_stub
     try:
-        train_local(np.zeros(spec.param_count), partition, cfg, spec, round_seed=4)
+        train_local(np.zeros(spec.param_count), federation, 1, cfg, spec, round_seed=4)
     finally:
         fedsim.model.gradient_from_arrays = original
     assert calls == local_step_count(n_k, batch, epochs) == epochs * max(math.ceil(n_k / (batch or n_k)), 1)

@@ -131,7 +131,7 @@ class TestSynthesize:
         spec = FederationSpec(user_count=1, size_mean=39.0, size_std=0.0)
         fed = synthesize_federation(spec, seed=3)
         assert fed.user_count == 1
-        assert fed.partition(0).size == 39
+        assert fed.sizes([0])[0] == 39
 
     def test_deterministic_and_seed_sensitive(self):
         spec = FederationSpec(user_count=12, size_mean=5.0, size_std=3.0, feature_dim=3)
@@ -144,7 +144,7 @@ class TestSynthesize:
     def test_sizes_clamped_and_total_consistent(self):
         spec = FederationSpec(user_count=60, size_mean=2.0, size_std=6.0, feature_dim=2)
         fed = synthesize_federation(spec, seed=9)
-        sizes = [fed.partition(u).size for u in fed.user_ids]
+        sizes = fed.sizes(fed.user_ids.tolist()).tolist()
         assert min(sizes) >= 1
         assert sum(sizes) == fed.total_examples
 
@@ -165,7 +165,7 @@ class TestSynthesize:
             user_count=6, size_mean=200.0, size_std=0.0, feature_dim=4, user_shift_scale=5.0
         )
         fed = synthesize_federation(spec, seed=11)
-        means = [np.mean(fed.partition(u).X, axis=0) for u in fed.user_ids]
+        means = [np.mean(fed.X[fed.rows([u])[0]], axis=0) for u in fed.user_ids.tolist()]
         spread = np.std(np.stack(means), axis=0).max()
         assert spread > 1.0
 
@@ -666,8 +666,23 @@ class TestInvariants:
         with pytest.raises(ValueError, match="user 2: .* duration -1.0 negative"):
             make_federation({1: [example()], 2: [example(), example(duration=-1.0)]})
 
-    def test_partition_lookup(self):
-        fed = tiny_federation()
-        assert fed.partition(2).user_id == 2
-        with pytest.raises(ValueError, match="unknown user"):
-            fed.partition(99)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lookup_agrees_with_offsets(self, sizes, data):
+        # segments is the one lookup; sizes and rows read offsets through it, in the order given
+        ids = data.draw(st.lists(st.integers(-1000, 10**9), min_size=len(sizes), max_size=len(sizes), unique=True))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        n = int(offsets[-1])
+        fed = Federation(np.arange(n, dtype=np.float64)[:, None], np.zeros(n), np.ones(n), ids, offsets, 2)
+        subset = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+        segments = fed.segments(subset).tolist()
+        assert [ids[k] for k in segments] == subset
+        assert fed.sizes(subset).tolist() == [sizes[k] for k in segments]
+        rows, row_sizes = fed.rows(subset)
+        assert rows.tolist() == [r for k in segments for r in range(offsets[k], offsets[k + 1])]
+        assert row_sizes.tolist() == [sizes[k] for k in segments]
+        unknown = data.draw(st.integers(-(2**62), 2**62).filter(lambda u: u not in ids))
+        at = data.draw(st.integers(0, len(subset)))
+        for lookup in (fed.segments, fed.sizes, fed.rows):
+            with pytest.raises(ValueError, match=f"^unknown user id {unknown}$"):
+                lookup(subset[:at] + [unknown] + subset[at:])

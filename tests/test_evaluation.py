@@ -162,9 +162,9 @@ W_1D = np.array([-1.0, 1.0, 0.0, 0.0])  # positive logit = x, negative logit = -
 class TestFederatedEval:
     def test_single_user_equals_operating_point(self):
         fed = two_user_federation()
-        part = fed.partition(1)
-        scores = score_examples(SPEC_1D, W_1D, part.X)
-        expected = operating_point(scores, part.y, part.duration, EvalTargets()).recall
+        rows, _ = fed.rows([1])
+        scores = score_examples(SPEC_1D, W_1D, fed.X[rows])
+        expected = operating_point(scores, fed.y[rows], fed.duration[rows], EvalTargets()).recall
         assert federated_eval(SPEC_1D, W_1D, fed, [1], EvalTargets()) == expected == 1.0
 
     def test_hand_weighted_combination(self):
@@ -203,7 +203,7 @@ class TestFederatedEval:
         with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
             metric = federated_eval(SPEC_1D, W_1D, fed, [5, 4, 3, 2, 1], EvalTargets())
         # exactly the usable users' 40 rows, in ascending user id
-        usable_rows = np.concatenate([fed.partition(uid).X for uid in (1, 2)])
+        usable_rows = fed.X[fed.rows([1, 2])[0]]
         assert np.array_equal(np.concatenate(scored_rows), usable_rows)
         assert metric == pytest.approx(0.625, abs=1e-15)
         assert "skipped 3 user(s) without both classes: [3, 4, 5]" in caplog.text
@@ -231,8 +231,8 @@ class TestFederatedEval:
 class TestPooledEval:
     def test_matches_manual_pooling(self):
         fed = two_user_federation()
-        parts = [fed.partition(uid) for uid in (1, 2)]
-        X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
+        rows, _ = fed.rows([1, 2])
+        X, y, duration = fed.X[rows], fed.y[rows], fed.duration[rows]
         expected = brute_force_operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, EvalTargets())[1]
         assert pooled_eval(SPEC_1D, W_1D, fed, [1, 2], EvalTargets()) == expected
 
@@ -317,11 +317,12 @@ def per_user_federated_eval(spec, w, federation, eval_user_ids, targets):
     """federated_eval as one score_examples and one brute-force search per user."""
     acc, total = 0.0, 0
     for uid in sorted(eval_user_ids):
-        part = federation.partition(uid)
-        if usable(part.y, part.duration):
-            _, recall, _ = brute_force_operating_point(score_examples(spec, w, part.X), part.y, part.duration, targets)
-            acc += part.size * recall
-            total += part.size
+        rows, _ = federation.rows([uid])
+        X, y, duration = federation.X[rows], federation.y[rows], federation.duration[rows]
+        if usable(y, duration):
+            _, recall, _ = brute_force_operating_point(score_examples(spec, w, X), y, duration, targets)
+            acc += len(rows) * recall
+            total += len(rows)
     return acc / total
 
 
@@ -375,18 +376,19 @@ class TestSegmentedRecall:
         federation = make_federation(
             {uid: [LabeledExample(np.array([x]), label, d) for x, label, d in rows] for uid, rows in enumerate(users)}
         )
-        parts = [federation.partition(uid) for uid in range(len(users))]
+        user_rows = [federation.rows([uid])[0] for uid in range(len(users))]
         targets = EvalTargets(fah_budget=budget)
         ids = list(range(len(users)))[::-1]
         with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
-            if any(usable(p.y, p.duration) for p in parts):
+            if any(usable(federation.y[rows], federation.duration[rows]) for rows in user_rows):
                 got = federated_eval(SPEC_1D, W_1D, federation, ids, targets)
                 assert got == per_user_federated_eval(SPEC_1D, W_1D, federation, ids, targets)
             else:
                 with pytest.raises(EvaluationError):
                     federated_eval(SPEC_1D, W_1D, federation, ids, targets)
             # the pooled leg: the pool's recall as the brute-force search finds it on the pooled rows
-            X, y, duration = (np.concatenate([getattr(p, c) for p in parts]) for c in ("X", "y", "duration"))
+            rows = np.concatenate(user_rows)
+            X, y, duration = federation.X[rows], federation.y[rows], federation.duration[rows]
             if usable(y, duration):
                 expected = brute_force_operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, targets)[1]
                 assert pooled_eval(SPEC_1D, W_1D, federation, ids, targets) == expected
@@ -468,9 +470,10 @@ class TestChunkedPasses:
 
     @staticmethod
     def per_user_cohort_loss(spec, w, federation, user_ids):
-        parts = [federation.partition(uid) for uid in sorted(user_ids)]
-        n_r = sum(p.size for p in parts)
-        return float(sum((p.size / n_r) * loss_from_arrays(spec, w, p.X, p.y) for p in parts))
+        user_rows = [federation.rows([uid])[0] for uid in sorted(user_ids)]
+        n_r = sum(len(rows) for rows in user_rows)
+        return float(sum((len(rows) / n_r) * loss_from_arrays(spec, w, federation.X[rows], federation.y[rows])
+                         for rows in user_rows))
 
     @staticmethod
     def one_pass_cohort_loss(spec, w, federation, user_ids):

@@ -284,8 +284,8 @@ class TestRunExperiment:
         assert result.report["rounds_to_target"] is not None
 
         federation, train, dev, test, w0 = _prepare(cfg)
-        X = np.concatenate([federation.partition(uid).X for uid in train])
-        y = np.concatenate([federation.partition(uid).y for uid in train])
+        rows, _ = federation.rows(train)
+        X, y = federation.X[rows], federation.y[rows]
         w = w0.copy()
         oracle_steps = None
         for t in range(1, cfg.max_rounds + 1):
@@ -407,11 +407,11 @@ class TestRunExperiment:
                 continue
             losses, sizes = [], []
             for uid in record.selected_users:
-                part = federation.partition(uid)
+                user_rows, (n_k,) = federation.rows([uid])
                 per_row = [-np.log(forward(cfg.model, broadcast, x)[label])
-                           for x, label in zip(part.X, part.y)]
+                           for x, label in zip(federation.X[user_rows], federation.y[user_rows])]
                 losses.append(np.mean(per_row))
-                sizes.append(part.size)
+                sizes.append(n_k)
             expected = np.average(losses, weights=sizes)
             assert rows[t].train_loss_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -480,9 +480,7 @@ class TestRunBaseline:
         cfg = config_from_dict(self._raw("central_sgd", max_rounds=3))
         result = run_baseline(cfg)
         federation, train, _, _, _ = _prepare(cfg)
-        assert result.report["pooled_examples"] == sum(
-            federation.partition(uid).size for uid in train
-        )
+        assert result.report["pooled_examples"] == federation.sizes(train).sum()
 
     def test_train_loss_runs_are_bounded(self, monkeypatch):
         # the train pool spans several EVAL_ROWS blocks; every loss pass takes one, a short tail joining the last
@@ -728,7 +726,7 @@ class TestPoolsCheckedBeforeRoundOne:
         _, dev, test = split_users(federation, 0.6, 0.25, derive_seed(raw["master_seed"], "split"))
         # keep one user of each pool with both classes
         keep = [
-            next(u for u in pool if 0 < federation.partition(u).y.sum() < federation.partition(u).size)
+            next(u for u in pool if 0 < federation.y[federation.rows([u])[0]].sum() < federation.sizes([u])[0])
             for pool in (dev, test)
         ]
         self.write_without_positives(

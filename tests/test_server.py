@@ -304,8 +304,8 @@ class TestRunRound:
         )
         state = ServerState.initial(xavier_init(spec, 3))
         state, record = run_round(state, federation, list(federation.user_ids), cfg, round_seed=17)
-        X = np.concatenate([federation.partition(u).X for u in record.selected_users])
-        y = np.concatenate([federation.partition(u).y for u in record.selected_users])
+        rows, _ = federation.rows(record.selected_users)
+        X, y = federation.X[rows], federation.y[rows]
         expected = ServerState.initial(xavier_init(spec, 3)).weights - eta_local * gradient_from_arrays(
             spec, xavier_init(spec, 3), X, y
         )
@@ -343,7 +343,7 @@ class TestRunRound:
         state0 = ServerState.initial(xavier_init(spec, 1))
         state, record = run_round(state0, federation, list(federation.user_ids), cfg, 23)
         assert record.round == state.round == 1
-        assert record.n_r == sum(federation.partition(u).size for u in record.selected_users)
+        assert record.n_r == federation.sizes(record.selected_users).sum()
         assert record.selected_users == tuple(sorted(record.selected_users))
         # the 2-norm of the pseudo-gradient the round applied, against an exactly rounded sum of squares
         (grad,) = grads
@@ -385,10 +385,10 @@ class TestRunRound:
         real = fedsim.server.train_local
         results, alive_at_start, order = [], [], []
 
-        def tracking(w_start, partition, *args):
+        def tracking(w_start, federation, user_id, *args):
             alive_at_start.append(sum(ref() is not None for ref in results))
-            order.append(partition.user_id)
-            out = real(w_start, partition, *args)
+            order.append(user_id)
+            out = real(w_start, federation, user_id, *args)
             results.append(weakref.ref(out))
             return out
 
@@ -497,7 +497,7 @@ def per_client_round(state, federation, user_ids, cfg, round_seed):
     sizes = federation.sizes(selected).tolist()
     grad = np.zeros_like(state.weights)
     for n_k, u in zip(sizes, selected):
-        w_k = train_local(state.weights, federation.partition(u), cfg.local, cfg.model, round_seed)
+        w_k = train_local(state.weights, federation, u, cfg.local, cfg.model, round_seed)
         grad += (n_k / sum(sizes)) * (state.weights - w_k)
     new_state = (apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain)(state, grad, cfg.strategy)
     return new_state, RoundRecord(new_state.round, tuple(selected), sum(sizes), math.sqrt(np.add.reduce(grad * grad)))
@@ -555,9 +555,9 @@ class TestStackedOneStepRounds:
         assert (sizes <= batch).sum() == len(sizes) - 1
         real, trained = fedsim.server.train_local, []
 
-        def counting(w_start, partition, *args):
-            trained.append(partition.user_id)
-            return real(w_start, partition, *args)
+        def counting(w_start, federation, user_id, *args):
+            trained.append(user_id)
+            return real(w_start, federation, user_id, *args)
 
         monkeypatch.setattr(fedsim.server, "train_local", counting)
         _, record = run_round(ServerState.initial(xavier_init(spec, 2)), federation,
