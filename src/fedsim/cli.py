@@ -71,6 +71,9 @@ def main(argv=None) -> int:
         # FloatingPointError is a run that diverged
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation: "Unable to allocate 4.26 PiB for an array ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,7 +3,9 @@
 Shuffling is reseeded per (round_seed, user_id, epoch), so a client's result
 depends only on its own rows: not on the federation's other users, nor on
 which other clients train or in what order. The centralized baseline draws
-its batches from the same generator.
+its batches from the same generator. A one-step cohort's epoch-0 orders are
+seeded in one pass (epoch_orders) that reproduces numpy's SeedSequence ->
+PCG64 seeding word for word.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import model
 from .data import Federation
 from .errors import ConfigError, require_finite
 from .model import ModelSpec
-from .seeding import derive_seed
+from .seeding import derive_seed, derive_seeds
 
 # Sentinel batch size: one batch covers all of a user's rows.
 FULL_BATCH: Final = None
@@ -66,6 +68,43 @@ def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndar
 def epoch_order(n: int, *seed_parts) -> np.ndarray:
     """The shuffled order of n examples in the epoch that the seed parts, the epoch last, name."""
     return np.random.default_rng(derive_seed(*seed_parts)).permutation(n)
+
+
+# numpy's SeedSequence: the constants its hashes step through, INIT_A * MULT_A**i (mix_entropy) and
+# INIT_B * MULT_B**i (generate_state) mod 2**32, then MIX_MULT_L and MIX_MULT_R; and PCG64's multiplier
+_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, i, 1 << 32) % (1 << 32) for i in range(17)], np.uint32)[:, None]
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)], np.uint32)[:, None]
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row i of words: xor consts[i], times consts[i + 1], xorshift."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> _SHIFT)
+
+
+def epoch_orders(round_seed: int, user_ids, sizes) -> list[np.ndarray]:
+    """[epoch_order(n, round_seed, u, 0) for u, n in zip(user_ids, sizes)]: numpy's SeedSequence for all
+    users at once in uint32 arithmetic, PCG64's seeding in 128-bit ints, numpy's own permutation."""
+    seeds = np.array(derive_seeds((round_seed,), user_ids, (0,)), np.uint64)
+    pool = np.zeros((4, len(seeds)), np.uint32)  # a column per user
+    pool[:2] = seeds, seeds >> np.uint64(32)  # the entropy: a seed's words, low first, zero-padded
+    pool = _hashmix(pool, _HASH_A[:5])
+    for src in range(4):  # each word mixed into the three others, in numpy's order
+        dst, h = [d for d in range(4) if d != src], _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
+        mixed = _MIX_L * pool[dst] - _MIX_R * h
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    words = _hashmix(np.tile(pool, (2, 1)), _HASH_B)  # generate_state(4, uint64) as uint32 halves
+    words = np.ascontiguousarray(words.T).astype("<u4", copy=False).view("<u8").tolist()
+    bit_generator, orders = np.random.PCG64(0), []
+    generator, state = np.random.Generator(bit_generator), {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for (a, b, c, d), n in zip(words, sizes):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state["state"] = {"state": ((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
+        bit_generator.state = state
+        orders.append(generator.permutation(n))
+    return orders
 
 
 def train_local(
@@ -116,7 +155,7 @@ def train_one_step(w_start, federation: Federation, user_ids, cfg: LocalTraining
     sizes = federation.sizes(user_ids)
     by_size = np.argsort(sizes, kind="stable")  # a size's users consecutive
     starts, sizes = federation.offsets[federation.segments(user_ids)[by_size]], sizes[by_size]
-    orders = [epoch_order(n, round_seed, user_ids[i], 0) for i, n in zip(by_size.tolist(), sizes.tolist())]
+    orders = epoch_orders(round_seed, np.asarray(user_ids)[by_size].tolist(), sizes.tolist())
     rows = np.concatenate(orders) + np.repeat(starts, sizes)
     X, y = federation.X[rows], federation.y[rows]
     cuts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist() + [len(user_ids)]

@@ -493,7 +493,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     for params, point_config in points:
         try:
             result = run_experiment(point_config)
-        except (ValueError, EvaluationError, FloatingPointError, OSError) as exc:
+        except (ValueError, EvaluationError, FloatingPointError, OSError, MemoryError) as exc:
             raise _with_message(exc, f"sweep point {params}: {exc}") from None
         cells = [json.dumps(v) if isinstance(v, (dict, list)) else v for v in params.values()]
         for rec in result.metrics:

@@ -10,19 +10,27 @@ from __future__ import annotations
 import hashlib
 
 
-def derive_seed(*parts: int | str) -> int:
-    """Derive a nonnegative 63-bit seed from a tuple of ints and strings.
+def _encode(part: int | str) -> bytes:
+    """A part with a type tag and a length prefix, so distinct tuples never share an encoding."""
+    if isinstance(part, bool) or not isinstance(part, (int, str)):
+        raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
+    payload = str(part).encode("utf-8")
+    return (b"i" if isinstance(part, int) else b"s") + len(payload).to_bytes(4, "big") + payload
 
-    Each part is encoded with a type tag and a length prefix, so distinct
-    tuples can never collide on their byte encoding.
-    """
+
+def derive_seed(*parts: int | str) -> int:
+    """Derive a nonnegative 63-bit seed from a tuple of ints and strings."""
     if not parts:
         raise ValueError("derive_seed requires at least one part")
-    digest = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
-        payload = str(part).encode("utf-8")
-        tag = b"i" if isinstance(part, int) else b"s"
-        digest.update(tag + len(payload).to_bytes(4, "big") + payload)
-    return int.from_bytes(digest.digest()[:8], "big") >> 1
+    return int.from_bytes(hashlib.sha256(b"".join(map(_encode, parts))).digest()[:8], "big") >> 1
+
+
+def derive_seeds(prefix: tuple, middles, suffix: tuple) -> list[int]:
+    """[derive_seed(*prefix, m, *suffix) for m in middles], with the prefix hashed once."""
+    head, tail = hashlib.sha256(b"".join(map(_encode, prefix))), b"".join(map(_encode, suffix))
+    seeds = []
+    for middle in middles:
+        digest = head.copy()
+        digest.update(_encode(middle) + tail)
+        seeds.append(int.from_bytes(digest.digest()[:8], "big") >> 1)
+    return seeds

@@ -122,13 +122,12 @@ def select_clients(user_ids, participation: float, round_seed: int) -> list[int]
     """Uniform sample without replacement of max(1, round(C*K)) users, sorted."""
     if not 0.0 < participation <= 1.0:
         raise ConfigError("participation ratio must lie in (0, 1]")
-    ids = sorted(user_ids)
-    if not ids:
+    ids = np.sort(np.asarray(user_ids))
+    if not ids.size:
         raise ValueError("user id list must be nonempty")
     count = max(1, int(math.floor(participation * len(ids) + 0.5)))
     rng = np.random.default_rng(derive_seed(round_seed, "select"))
-    chosen = rng.choice(np.array(ids), size=count, replace=False)
-    return sorted(int(u) for u in chosen)
+    return np.sort(rng.choice(ids, size=count, replace=False)).tolist()  # choice draws positions
 
 
 def pseudo_gradient(w_prev: np.ndarray, sizes, client_weights) -> np.ndarray:

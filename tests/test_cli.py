@@ -189,6 +189,24 @@ def test_failed_sweep_point_prints_one_line_in_a_subprocess(config_file):
     assert rows[0] == "local.eta_local,round,dev_metric,train_loss_mean" and len(rows) > 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_allocation_failure_prints_one_line_in_a_subprocess(config_file, command):
+    # 20 users of about 1e13 rows: synthesis asks numpy for 4.26 PiB of features, more than any
+    # process's address space, so the allocation fails at once on every host
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text())
+    raw["federation"]["synthesize"]["size_mean"] = 1e13
+    path.write_text(json.dumps(raw))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"participation": [1.0, 0.5]}))
+    proc = run_cli_subprocess(command, "--config", str(path), *(["--grid", str(grid)] if command == "sweep" else []))
+    assert proc.returncode == 1
+    point = "sweep point {'participation': 1.0}: " if command == "sweep" else ""
+    assert re.fullmatch(rf"error: out of memory: {re.escape(point)}Unable to allocate 4\.26 PiB .*\n", proc.stderr), (
+        proc.stderr
+    )
+
+
 @pytest.mark.parametrize("target", ["config", "grid", "federation"])
 def test_deeply_nested_json_prints_one_line_in_a_subprocess(config_file, target):
     # json.loads raises RecursionError on input nested this deep

@@ -22,6 +22,7 @@ from fedsim import (
     ServerState,
     apply_adam,
     apply_plain,
+    derive_seed,
     gradient_from_arrays,
     pseudo_gradient,
     run_round,
@@ -82,6 +83,22 @@ class TestSelectClients:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             select_clients([], 0.5, round_seed=0)
+
+    def test_same_selection_as_the_list_sorting_version(self):
+        def sorted_list_select(user_ids, participation, round_seed):
+            # select_clients as it was before it sorted the ids as an array
+            ids = sorted(user_ids)
+            count = max(1, int(math.floor(participation * len(ids) + 0.5)))
+            rng = np.random.default_rng(derive_seed(round_seed, "select"))
+            return sorted(int(u) for u in rng.choice(np.array(ids), size=count, replace=False))
+
+        rng = np.random.default_rng(21)
+        for _ in range(250):
+            ids = rng.permutation(rng.choice(10**6, size=int(rng.integers(1, 400)), replace=False)).tolist()
+            participation, round_seed = float(rng.uniform(0.001, 1.0)), int(rng.integers(0, 2**63))
+            got = select_clients(ids, participation, round_seed)
+            assert got == sorted_list_select(ids, participation, round_seed)
+            assert all(type(u) is int for u in got)
 
 
 class TestPseudoGradient:
