@@ -2,16 +2,15 @@
 
 Shuffling is reseeded per (round_seed, user_id, epoch), so a client's result
 depends only on its own rows: not on the federation's other users, nor on
-which other clients train or in what order. The centralized baseline draws
-its batches from the same generator. A one-step cohort's epoch-0 orders are
-seeded in one pass (epoch_orders) that reproduces numpy's SeedSequence ->
-PCG64 seeding word for word.
+which other clients train or in what order. A batch that covers every row
+takes them in stored order and draws no seed. The centralized baseline draws
+its batches from the same generator. Clients that each take one step train
+stacked, a block of them per gradient pass (train_one_step).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Final
@@ -22,7 +21,7 @@ from . import model
 from .data import Federation
 from .errors import ConfigError, require_finite
 from .model import ModelSpec
-from .seeding import derive_seed, derive_seeds
+from .seeding import derive_seed
 
 # Sentinel batch size: one batch covers all of a user's rows.
 FULL_BATCH: Final = None
@@ -44,21 +43,25 @@ class LocalTrainingConfig:
             raise ConfigError("eta_local must be nonnegative")
 
 
-def local_step_count(n_k: int, batch_size: int | None, epochs: int) -> int:
-    """Gradient steps a client performs: epochs * max(ceil(n_k / batch), 1)."""
-    if n_k < 1:
+def local_step_count(n_k: int | np.ndarray, batch_size: int | None, epochs: int) -> int | np.ndarray:
+    """Gradient steps a client performs: epochs * ceil(n_k / batch), at least one
+    batch an epoch as n_k >= 1; given an array of sizes, each client's steps."""
+    if (np.asarray(n_k) < 1).any():
         raise ValueError("n_k must be >= 1")
     b = n_k if batch_size is FULL_BATCH else batch_size
-    return epochs * max(math.ceil(n_k / b), 1)
+    return epochs * -(-n_k // b)
 
 
 def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndarray]:
     """Endless index arrays of shuffled mini-batches over n examples.
 
     Each epoch is a fresh permutation seeded by derive_seed(*seed_parts,
-    epoch); its final partial batch is yielded as-is.
+    epoch); its final partial batch is yielded as-is. A batch that covers
+    every row is the rows in stored order, and no seed is drawn.
     """
     batch = n if batch_size is FULL_BATCH else batch_size
+    if batch >= n:  # shuffling one whole batch would change only how the gradient's sums round
+        yield from itertools.repeat(np.arange(n))
     for epoch in itertools.count():
         order = epoch_order(n, *seed_parts, epoch)
         for start in range(0, n, batch):
@@ -68,43 +71,6 @@ def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndar
 def epoch_order(n: int, *seed_parts) -> np.ndarray:
     """The shuffled order of n examples in the epoch that the seed parts, the epoch last, name."""
     return np.random.default_rng(derive_seed(*seed_parts)).permutation(n)
-
-
-# numpy's SeedSequence: the constants its hashes step through, INIT_A * MULT_A**i (mix_entropy) and
-# INIT_B * MULT_B**i (generate_state) mod 2**32, then MIX_MULT_L and MIX_MULT_R; and PCG64's multiplier
-_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, i, 1 << 32) % (1 << 32) for i in range(17)], np.uint32)[:, None]
-_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)], np.uint32)[:, None]
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-
-
-def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row i of words: xor consts[i], times consts[i + 1], xorshift."""
-    words = (words ^ consts[:-1]) * consts[1:]
-    return words ^ (words >> _SHIFT)
-
-
-def epoch_orders(round_seed: int, user_ids, sizes) -> list[np.ndarray]:
-    """[epoch_order(n, round_seed, u, 0) for u, n in zip(user_ids, sizes)]: numpy's SeedSequence for all
-    users at once in uint32 arithmetic, PCG64's seeding in 128-bit ints, numpy's own permutation."""
-    seeds = np.array(derive_seeds((round_seed,), user_ids, (0,)), np.uint64)
-    pool = np.zeros((4, len(seeds)), np.uint32)  # a column per user
-    pool[:2] = seeds, seeds >> np.uint64(32)  # the entropy: a seed's words, low first, zero-padded
-    pool = _hashmix(pool, _HASH_A[:5])
-    for src in range(4):  # each word mixed into the three others, in numpy's order
-        dst, h = [d for d in range(4) if d != src], _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
-        mixed = _MIX_L * pool[dst] - _MIX_R * h
-        pool[dst] = mixed ^ (mixed >> _SHIFT)
-    words = _hashmix(np.tile(pool, (2, 1)), _HASH_B)  # generate_state(4, uint64) as uint32 halves
-    words = np.ascontiguousarray(words.T).astype("<u4", copy=False).view("<u8").tolist()
-    bit_generator, orders = np.random.PCG64(0), []
-    generator, state = np.random.Generator(bit_generator), {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for (a, b, c, d), n in zip(words, sizes):
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        state["state"] = {"state": ((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
-        bit_generator.state = state
-        orders.append(generator.permutation(n))
-    return orders
 
 
 def train_local(
@@ -117,7 +83,7 @@ def train_local(
 ) -> np.ndarray:
     """Run local SGD on user_id's rows from the broadcast weights; return the trained weights.
 
-    Data is reshuffled once per epoch; the final partial batch is used as-is.
+    Batches come from minibatches, reshuffled per epoch; a partial final batch is used as-is.
     w_start is never mutated. An unknown user id raises ValueError.
     """
     k = federation.segments([user_id])[0]
@@ -149,14 +115,12 @@ def train_one_step(w_start, federation: Federation, user_ids, cfg: LocalTraining
                    round_seed: int) -> np.ndarray:
     """train_local's results, bit for bit, as rows of a (k, P) matrix, for users
     that each take one local step: the users of one size in one stacked gradient
-    pass, each on its epoch-0 order. If a pass raises FloatingPointError or leaves
-    a weight non-finite, they train one by one, and train_local names the first."""
+    pass, each on its rows in stored order, the one batch that train_local takes.
+    If a pass raises FloatingPointError or leaves a weight non-finite, they train
+    one by one, and train_local names the first."""
     w_start = model._check_params(spec, w_start)
-    sizes = federation.sizes(user_ids)
-    by_size = np.argsort(sizes, kind="stable")  # a size's users consecutive
-    starts, sizes = federation.offsets[federation.segments(user_ids)[by_size]], sizes[by_size]
-    orders = epoch_orders(round_seed, np.asarray(user_ids)[by_size].tolist(), sizes.tolist())
-    rows = np.concatenate(orders) + np.repeat(starts, sizes)
+    by_size = np.argsort(federation.sizes(user_ids), kind="stable")  # a size's users consecutive
+    rows, sizes = federation.rows(np.asarray(user_ids)[by_size].tolist())
     X, y = federation.X[rows], federation.y[rows]
     cuts = np.flatnonzero(np.diff(sizes, prepend=0)).tolist() + [len(user_ids)]
     first_rows = (np.cumsum(sizes) - sizes).tolist()

@@ -51,6 +51,15 @@ class OperatingPoint:
     fah: float
 
 
+def sequential_sum(values) -> float:
+    """The floats added one by one, left to right. The builtin sum() of floats
+    compensates its rounding from Python 3.12 on, so its bits depend on the version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Positive-class probability of every row of X, order preserved."""
     return model.batch_probs(spec, w, X)[:, POSITIVE_LABEL]
@@ -88,7 +97,7 @@ def operating_points(
     # summed left to right per segment, as a reference loop over the examples would
     neg_durations = np.asarray(durations, dtype=np.float64)[~positive].tolist()
     spans = zip(neg_start.tolist(), n_neg.tolist())
-    neg_hours = np.array([sum(neg_durations[s : s + n]) for s, n in spans], dtype=np.float64) / 3600.0
+    neg_hours = np.array([sequential_sum(neg_durations[s : s + n]) for s, n in spans]) / 3600.0
     if not (neg_hours > 0).all():
         raise ValueError("total negative duration must be positive")
     # a segment's j-th false alarm (j from 1) is within budget iff j / neg_hours is
@@ -162,10 +171,8 @@ def federated_eval(
     Users that are not usable (eval_segments) are skipped and excluded from
     the weight normalizer."""
     sizes, recalls = _segment_recalls(spec, w, federation, eval_user_ids, targets, pooled=False)
-    acc = 0.0
-    for size, recall in zip(sizes.tolist(), recalls.tolist()):
-        acc += size * recall
-    return acc / sum(sizes.tolist())
+    weighted = sequential_sum(size * recall for size, recall in zip(sizes.tolist(), recalls.tolist()))
+    return weighted / sum(sizes.tolist())
 
 
 def pooled_eval(

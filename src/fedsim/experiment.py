@@ -28,7 +28,7 @@ import numpy as np
 
 from . import model as model_ops
 from . import server
-from .client import FULL_BATCH, minibatches
+from .client import local_step_count, minibatches
 from .data import (
     Federation,
     FederationSpec,
@@ -376,9 +376,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         state, record = run_round(
             state, federation, train, config, derive_seed(config.master_seed, "round", t)
         )
-        sizes = federation.sizes(record.selected_users)  # client.local_step_count of each at once
-        batch = sizes if config.local.batch_size is FULL_BATCH else config.local.batch_size
-        total_local_steps += config.local.epochs * int(np.maximum(-(-sizes // batch), 1).sum())
+        sizes = federation.sizes(record.selected_users)
+        total_local_steps += int(local_step_count(sizes, config.local.batch_size, config.local.epochs).sum())
         upload_mb = upload_cost_bytes(config.model.param_count, config.participation, t) / 1e6
         train_loss = functools.partial(
             cohort_loss, config.model, broadcast, federation, record.selected_users

@@ -24,13 +24,3 @@ def derive_seed(*parts: int | str) -> int:
         raise ValueError("derive_seed requires at least one part")
     return int.from_bytes(hashlib.sha256(b"".join(map(_encode, parts))).digest()[:8], "big") >> 1
 
-
-def derive_seeds(prefix: tuple, middles, suffix: tuple) -> list[int]:
-    """[derive_seed(*prefix, m, *suffix) for m in middles], with the prefix hashed once."""
-    head, tail = hashlib.sha256(b"".join(map(_encode, prefix))), b"".join(map(_encode, suffix))
-    seeds = []
-    for middle in middles:
-        digest = head.copy()
-        digest.update(_encode(middle) + tail)
-        seeds.append(int.from_bytes(digest.digest()[:8], "big") >> 1)
-    return seeds

@@ -250,7 +250,7 @@ def pool_row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
 
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
     """Mean train loss of the users' examples at weights w: the n_k / n_r
-    weighted mean of per-user losses, summed in ascending user-id order.
+    weighted mean of per-user losses, summed left to right in ascending user-id order.
 
     A user's loss is the mean of its rows' pool_row_losses, reduced as
     loss_from_arrays reduces them: `x.mean()` is `np.add.reduce(x) / len(x)`,
@@ -260,6 +260,6 @@ def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids
     rows, sizes = federation.rows(sorted(user_ids))
     losses, sizes = pool_row_losses(spec, w, federation.X[rows], federation.y[rows]), sizes.tolist()
     n_r, ends = sum(sizes), itertools.accumulate(sizes)
-    return float(
-        sum((n_k / n_r) * float(np.add.reduce(losses[e - n_k : e]) / n_k) for n_k, e in zip(sizes, ends))
+    return evaluation.sequential_sum(
+        (n_k / n_r) * float(np.add.reduce(losses[e - n_k : e]) / n_k) for n_k, e in zip(sizes, ends)
     )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -127,12 +129,18 @@ def reference_gradient(spec, w, X, y) -> np.ndarray:
     return grad
 
 
+def left_to_right_sum(values) -> float:
+    """The floats added in order, as on every Python version; the builtin sum()
+    compensates its rounding from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def brute_force_operating_point(scores, labels, durations, targets):
     """Exhaustive reference: evaluate every candidate threshold by direct counting."""
     scored = list(zip(scores.tolist(), labels.tolist(), durations.tolist()))
     pos = [s for s, label, _ in scored if label == POSITIVE_LABEL]
     neg = [(s, d) for s, label, d in scored if label != POSITIVE_LABEL]
-    neg_hours = sum(d for _, d in neg) / 3600.0
+    neg_hours = left_to_right_sum(d for _, d in neg) / 3600.0
     candidates = sorted(set(s for s, _, _ in scored))
     candidates.append(math.nextafter(1.0, 2.0))
     best = None

@@ -22,7 +22,7 @@ from fedsim import (
     train_local,
     xavier_init,
 )
-from fedsim.client import minibatches, train_one_step
+from fedsim.client import epoch_order, minibatches, train_one_step
 
 from conftest import LabeledExample, gaussian_examples, make_federation, reference_gradient
 
@@ -57,6 +57,40 @@ class TestLocalStepCount:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             local_step_count(0, 5, 1)
+        with pytest.raises(ValueError):
+            local_step_count(np.array([4, 0, 2]), 5, 1)
+
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=20),
+        batch=st.one_of(st.none(), st.integers(min_value=1, max_value=100)),
+        epochs=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_of_sizes_gives_each_clients_count(self, sizes, batch, epochs):
+        steps = local_step_count(np.array(sizes), batch, epochs)
+        assert steps.tolist() == [local_step_count(n_k, batch, epochs) for n_k in sizes]
+        assert type(local_step_count(sizes[0], batch, epochs)) is int
+
+
+def refuse_seed(*parts):
+    raise AssertionError(f"a seed was drawn: {parts}")
+
+
+class TestMinibatches:
+    @pytest.mark.parametrize("batch", [FULL_BATCH, 7, 8, 100])
+    def test_a_batch_covering_every_row_is_stored_order_and_draws_no_seed(self, monkeypatch, batch):
+        monkeypatch.setattr(fedsim.client, "derive_seed", refuse_seed)
+        for idx in itertools.islice(minibatches(7, batch, 4, 9), 5):
+            assert idx.tolist() == list(range(7))
+
+    @pytest.mark.parametrize("n,batch", [(11, 3), (8, 4), (2, 1)])
+    def test_smaller_batches_are_slices_of_the_epoch_order(self, n, batch):
+        per_epoch = -(-n // batch)
+        got = list(itertools.islice(minibatches(n, batch, 4, 9), 3 * per_epoch))
+        for epoch in range(3):
+            order = epoch_order(n, 4, 9, epoch).tolist()
+            want = [order[start : start + batch] for start in range(0, n, batch)]
+            assert [idx.tolist() for idx in got[epoch * per_epoch : (epoch + 1) * per_epoch]] == want
 
 
 class TestTrainLocal:
@@ -87,6 +121,16 @@ class TestTrainLocal:
         for idx in itertools.islice(minibatches(11, batch, 6, 8), steps):
             w = w - cfg.eta_local * reference_gradient(spec, w, fed.X[idx], fed.y[idx])
         assert train_local(w0, fed, 8, cfg, spec, round_seed=6).tobytes() == w.tobytes()
+
+    def test_full_batch_epochs_are_plain_steps_on_stored_rows(self, monkeypatch):
+        fed = one_user(3, 10)
+        w0 = np.random.default_rng(5).standard_normal(SPEC.param_count)
+        monkeypatch.setattr(fedsim.client, "derive_seed", refuse_seed)
+        w = w0
+        for _ in range(3):
+            w = w - 0.2 * gradient_from_arrays(SPEC, w, fed.X, fed.y)
+        cfg = LocalTrainingConfig(epochs=3, batch_size=FULL_BATCH, eta_local=0.2)
+        assert train_local(w0, fed, 3, cfg, SPEC, round_seed=4).tobytes() == w.tobytes()
 
     def test_affine_in_eta_for_single_step(self):
         fed = one_user(2, 9)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fedsim.evaluation
 import fedsim.model
+import fedsim.server
 from fedsim import (
     ConfigError,
     EvalTargets,
@@ -31,7 +32,15 @@ from fedsim import (
 from fedsim.evaluation import eval_segments, operating_points, row_blocks
 from fedsim.server import cohort_loss, pool_row_losses
 
-from conftest import LabeledExample, brute_force_operating_point, forward, make_federation, scored, scored_set
+from conftest import (
+    LabeledExample,
+    brute_force_operating_point,
+    forward,
+    left_to_right_sum,
+    make_federation,
+    scored,
+    scored_set,
+)
 
 
 class TestScoreExamples:
@@ -103,7 +112,7 @@ class TestOperatingPoint:
         scores, labels, durations = scored_set(rng, 60)
         pos = sorted(scores[labels == POSITIVE_LABEL])
         neg_scores = sorted(scores[labels != POSITIVE_LABEL])
-        hours = sum(durations[labels != POSITIVE_LABEL].tolist()) / 3600.0
+        hours = left_to_right_sum(durations[labels != POSITIVE_LABEL].tolist()) / 3600.0
         candidates = sorted(set(scores.tolist())) + [math.nextafter(1.0, 2.0)]
         last_recall, last_fah = 2.0, float("inf")
         for tau in candidates:
@@ -352,7 +361,7 @@ class TestSegmentedRecall:
             # a budget that k / neg_hours meets exactly for one user and count
             scores, labels, durations = kept[pick % len(kept)]
             negative = labels != POSITIVE_LABEL
-            neg_hours = sum(durations[negative].tolist()) / 3600.0
+            neg_hours = left_to_right_sum(durations[negative].tolist()) / 3600.0
             budget = (1 + pick % int(negative.sum())) / neg_hours
         targets = EvalTargets(fah_budget=budget)
         expected = [brute_force_operating_point(*u, targets) for u in kept]
@@ -583,6 +592,31 @@ class TestPooledBlocks:
                                     federated_eval(spec, w, federation, users, targets),
                                     cohort_loss(spec, w, federation, users)))
                 assert results[0] == results[1] == results[2], layer_dims
+
+
+class TestSumsAreLeftToRight:
+    """Float sums add left to right: from Python 3.12 the builtin sum() compensates
+    its rounding, and on these terms it would give other bits than Python 3.11."""
+
+    TERMS = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+    def test_sequential_sum_is_not_compensated(self):
+        assert fedsim.evaluation.sequential_sum(self.TERMS) == left_to_right_sum(self.TERMS) == 0.0
+        assert math.fsum(self.TERMS) == 2.0
+
+    def test_operating_point_sums_negative_durations_left_to_right(self):
+        # the negative scoring 0.95 is the one false alarm; its hours are (1e16 + 1 + 1) s / 3600
+        scores, labels = np.array([0.9, 0.95, 0.1, 0.2]), np.array([POSITIVE_LABEL, 0, 0, 0])
+        point = operating_point(scores, labels, np.array([0.0, 1e16, 1.0, 1.0]), EvalTargets(fah_budget=5.0))
+        assert point.fah == 1 / (((1e16 + 1.0) + 1.0) / 3600.0)
+        assert point.fah != 1 / (math.fsum([1e16, 1.0, 1.0]) / 3600.0)
+
+    def test_cohort_loss_sums_users_left_to_right(self, monkeypatch):
+        federation = make_federation({u: [LabeledExample(np.zeros(1), 0)] for u in range(3)})
+        monkeypatch.setattr(fedsim.server, "pool_row_losses", lambda *args: np.array([3e16, 3.0, 3.0]))
+        terms = [(1 / 3) * loss for loss in (3e16, 3.0, 3.0)]
+        assert cohort_loss(ModelSpec((1, 2)), np.zeros(4), federation, [2, 0, 1]) == (terms[0] + terms[1]) + terms[2]
+        assert (terms[0] + terms[1]) + terms[2] != math.fsum(terms)
 
 
 class TestEarlyStop:
