@@ -39,7 +39,7 @@ from .data import (
     split_users,
     synthesize_federation,
 )
-from .errors import ConfigError, EvaluationError, require_finite
+from .errors import ConfigError, EvaluationError, is_integer, require_finite
 from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
@@ -209,14 +209,13 @@ def _coerce(tp, value, key: str):
         return tuple(_coerce(inner, item, f"{key}[{i}]") for i, item in enumerate(value))
     if dataclasses.is_dataclass(tp):
         return _from_json(tp, value, key)
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is int:
-        if is_number and isinstance(value, int):
+        if is_integer(value):
             return value
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if tp is float:
         # the range test is false for NaN, the infinities and integers too large for a float
-        if is_number and -sys.float_info.max <= value <= sys.float_info.max:
+        if (isinstance(value, float) or is_integer(value)) and -sys.float_info.max <= value <= sys.float_info.max:
             return float(value)
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if not isinstance(value, str):
@@ -400,7 +399,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     Each step is one mini-batch, drawn from the clients' batch generator with
     seed parts (master_seed, "baseline"), with plain SGD at eta_local or the
     server's Adam at the strategy's settings; an evaluation row's train loss
-    is the plain mean of server.pool_row_losses over the whole train pool.
+    is server.pool_loss over the whole train pool.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
@@ -424,7 +423,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
         w = state.weights
-        return w, 0.0, lambda: float(server.pool_row_losses(config.model, w, X, y).mean())
+        return w, 0.0, lambda: server.pool_loss(config.model, w, X, y)
 
     metrics, report, steps_to_target = _optimize(config, step, "step", federation, dev, test, t0)
     report.update(steps_to_target=steps_to_target, pooled_examples=len(y))

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -25,12 +25,12 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
+        if not all(is_integer(d) and d >= 1 for d in self.layer_dims):
+            raise ConfigError(f"layer_dims must be positive integers, got {tuple(self.layer_dims)}")
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 2:
             raise ConfigError("layer_dims needs at least an input dim and a class count")
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"layer_dims must be positive, got {dims}")
         if dims[-1] < 2:
             raise ConfigError("final layer must have at least 2 classes")
         if self.activation not in ACTIVATIONS:

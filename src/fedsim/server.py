@@ -10,7 +10,6 @@ rounds and are never reset.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -241,25 +240,15 @@ def run_round(
     return new_state, record
 
 
-def pool_row_losses(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy at w of every row of (X, y). The rows go through the model
-    as views in row_blocks, whichever users they belong to."""
+def pool_loss(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy at w of the rows of (X, y): the train loss of the cohort and of the
+    baseline. The rows go through the model as views in row_blocks, whichever users they belong to."""
     blocks = zip(evaluation.row_blocks(X), evaluation.row_blocks(y))
-    return np.concatenate([model.row_losses(spec, w, X_block, y_block) for X_block, y_block in blocks])
+    return float(np.concatenate([model.row_losses(spec, w, X_block, y_block) for X_block, y_block in blocks]).mean())
 
 
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
-    """Mean train loss of the users' examples at weights w: the n_k / n_r
-    weighted mean of per-user losses, summed left to right in ascending user-id order.
-
-    A user's loss is the mean of its rows' pool_row_losses, reduced as
-    loss_from_arrays reduces them: `x.mean()` is `np.add.reduce(x) / len(x)`,
-    without the overhead of the method. Its rows share blocks with other
-    users', so it may differ in the last bit from a pass over them alone.
-    """
-    rows, sizes = federation.rows(sorted(user_ids))
-    losses, sizes = pool_row_losses(spec, w, federation.X[rows], federation.y[rows]), sizes.tolist()
-    n_r, ends = sum(sizes), itertools.accumulate(sizes)
-    return evaluation.sequential_sum(
-        (n_k / n_r) * float(np.add.reduce(losses[e - n_k : e]) / n_k) for n_k, e in zip(sizes, ends)
-    )
+    """Mean train loss of the users' examples at weights w, pool_loss of their rows in
+    ascending user id: the n_k / n_r weighted mean of per-user losses, up to rounding."""
+    rows = federation.rows(sorted(user_ids))[0]
+    return pool_loss(spec, w, federation.X[rows], federation.y[rows])

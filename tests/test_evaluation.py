@@ -30,7 +30,7 @@ from fedsim import (
     synthesize_federation,
 )
 from fedsim.evaluation import eval_segments, operating_points, row_blocks
-from fedsim.server import cohort_loss, pool_row_losses
+from fedsim.server import cohort_loss, pool_loss
 
 from conftest import (
     LabeledExample,
@@ -464,8 +464,8 @@ class TestSegmentedRecall:
 class TestChunkedPasses:
     """federated_eval and the cohort loss do not depend on EVAL_ROWS; on
     [10, 2] federated_eval equals the one-pass-per-user result bit for bit,
-    the cohort loss one pass over the gathered rows, and the mean of a pool's
-    blocked row losses its one-pass loss."""
+    the cohort loss pool_loss of its rows gathered in ascending user id, and
+    pool_loss a pool's one-pass loss."""
 
     @staticmethod
     def setting(layer_dims, seed):
@@ -484,41 +484,36 @@ class TestChunkedPasses:
         return float(sum((len(rows) / n_r) * loss_from_arrays(spec, w, federation.X[rows], federation.y[rows])
                          for rows in user_rows))
 
-    @staticmethod
-    def one_pass_cohort_loss(spec, w, federation, user_ids):
-        """cohort_loss's n_k / n_r reduction over one model.row_losses pass of the gathered rows."""
-        rows, sizes = federation.rows(sorted(user_ids))
-        losses = fedsim.model.row_losses(spec, w, federation.X[rows], federation.y[rows])
-        n_r, acc = int(sizes.sum()), 0.0
-        for start, n_k in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
-            acc += (n_k / n_r) * float(losses[start : start + n_k].mean())
-        return acc
-
     @pytest.mark.parametrize("seed", [3, 4])
     def test_bit_identical_on_linear_model(self, monkeypatch, seed):
         # a one-row user's row shares a gemm pass with other users' rows, where
         # alone it would go through gemv; so the cohort loss is held to one pass
         # over the gathered rows, not to one pass per user
         federation, spec, w, users = self.setting((10, 2), seed)
+        rows = federation.rows(sorted(users))[0]
+        X, y = federation.X[rows], federation.y[rows]
         targets = EvalTargets(fah_budget=200.0)
         results = []
         for eval_rows in (2, 64, 512, 10**9):
             monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-            results.append((federated_eval(spec, w, federation, users, targets),
-                            cohort_loss(spec, w, federation, users)))
+            loss = cohort_loss(spec, w, federation, users[::-1])
+            assert loss == pool_loss(spec, w, X, y)
+            results.append((federated_eval(spec, w, federation, users, targets), loss))
         assert results[0] == results[1] == results[2] == results[3]
         assert results[0][0] == per_user_federated_eval(spec, w, federation, users, targets)
-        assert results[0][1] == self.one_pass_cohort_loss(spec, w, federation, users)
+        assert results[0][1] == loss_from_arrays(spec, w, X, y)
 
-    def test_cohort_loss_close_on_hidden_layer_model(self, monkeypatch):
+    @given(picks=st.sets(st.integers(0, 149), min_size=1), eval_rows=st.sampled_from([1, 2, 64, 10**9]))
+    @settings(max_examples=60, deadline=None)
+    def test_cohort_loss_close_on_hidden_layer_model(self, picks, eval_rows):
+        # the mean of the cohort's row losses is the n_k / n_r weighted mean of its users'
+        # losses, up to rounding; the setting's one-row users are among the picks
         federation, spec, w, users = self.setting((10, 16, 2), 5)
-        losses = []
-        for eval_rows in (1, 10**9):
-            monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-            losses.append(cohort_loss(spec, w, federation, users))
-        reference = self.per_user_cohort_loss(spec, w, federation, users)
-        assert losses[0] == pytest.approx(reference, rel=1e-12, abs=0.0)
-        assert losses[1] == pytest.approx(reference, rel=1e-12, abs=0.0)
+        cohort = [users[i] for i in sorted(picks, reverse=True)]
+        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
+            loss = cohort_loss(spec, w, federation, cohort)
+        reference = self.per_user_cohort_loss(spec, w, federation, cohort)
+        assert loss == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("eval_rows", [1, 64, 512])
     @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 16, 2)])
@@ -528,7 +523,7 @@ class TestChunkedPasses:
         rows = federation.rows(users)[0]
         monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
         X, y = federation.X[rows], federation.y[rows]
-        got = float(pool_row_losses(spec, w, X, y).mean())
+        got = pool_loss(spec, w, X, y)
         expected = loss_from_arrays(spec, w, X, y)
         if len(layer_dims) == 2:
             assert got == expected
@@ -595,8 +590,8 @@ class TestPooledBlocks:
 
 
 class TestSumsAreLeftToRight:
-    """Float sums add left to right: from Python 3.12 the builtin sum() compensates
-    its rounding, and on these terms it would give other bits than Python 3.11."""
+    """Float sums add left to right, or through numpy: from Python 3.12 the builtin sum()
+    compensates its rounding, and on these terms it would give other bits than Python 3.11."""
 
     TERMS = [0.1] * 10 + [1e16, 1.0, -1e16]
 
@@ -611,12 +606,15 @@ class TestSumsAreLeftToRight:
         assert point.fah == 1 / (((1e16 + 1.0) + 1.0) / 3600.0)
         assert point.fah != 1 / (math.fsum([1e16, 1.0, 1.0]) / 3600.0)
 
-    def test_cohort_loss_sums_users_left_to_right(self, monkeypatch):
-        federation = make_federation({u: [LabeledExample(np.zeros(1), 0)] for u in range(3)})
-        monkeypatch.setattr(fedsim.server, "pool_row_losses", lambda *args: np.array([3e16, 3.0, 3.0]))
-        terms = [(1 / 3) * loss for loss in (3e16, 3.0, 3.0)]
-        assert cohort_loss(ModelSpec((1, 2)), np.zeros(4), federation, [2, 0, 1]) == (terms[0] + terms[1]) + terms[2]
-        assert (terms[0] + terms[1]) + terms[2] != math.fsum(terms)
+    def test_cohort_loss_is_numpys_mean_of_row_losses(self, monkeypatch):
+        # numpy sums 8 or more floats in 8 interleaved partial sums: here 9.0, where
+        # left to right gives 7.0 and a compensated sum 10.0
+        terms = [1.0] * 4 + [1e16] + [1.0] * 3 + [-1e16] + [1.0] * 3
+        federation = make_federation({u: [LabeledExample(np.zeros(1), 0)] for u in range(len(terms))})
+        monkeypatch.setattr(fedsim.model, "row_losses", lambda *args: np.array(terms))
+        loss = cohort_loss(ModelSpec((1, 2)), np.zeros(4), federation, range(len(terms))[::-1])
+        assert loss == float(np.add.reduce(np.array(terms))) / len(terms) == 9.0 / len(terms)
+        assert loss not in (left_to_right_sum(terms) / len(terms), math.fsum(terms) / len(terms))
 
 
 class TestEarlyStop:

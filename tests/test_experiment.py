@@ -106,20 +106,37 @@ CONFIG_CLASSES = {
 }
 
 
-def float_fields():
+def fields_of_type(kind):
+    """Every config class's fields annotated kind or kind | None."""
     for cls, required in CONFIG_CLASSES.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            if hints[f.name] in (float, float | None):
+            if hints[f.name] in (kind, kind | None):
                 yield pytest.param(cls, required, f.name, id=f"{cls.__name__}.{f.name}")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("cls,required,name", list(float_fields()))
+@pytest.mark.parametrize("cls,required,name", list(fields_of_type(float)))
 def test_non_finite_float_field_rejected_from_python(cls, required, name, value):
     # JSON configs are checked in parsing; a constructor must check as well
     with pytest.raises(ConfigError, match=rf"^{name}\b"):
         cls(**{**required, name: value})
+
+
+@pytest.mark.parametrize("cls,required,name", list(fields_of_type(int)))
+def test_int_field_rejects_non_integers_from_python(cls, required, name):
+    # JSON configs are checked in parsing; a constructor must check as well, before any round runs
+    for value in (1.5, 2.0, True, "3"):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            cls(**{**required, name: value})
+    assert getattr(cls(**{**required, name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize("dim", [3.7, 3.0, True])
+def test_model_spec_rejects_non_integer_dims(dim):
+    with pytest.raises(ConfigError, match="^layer_dims must be positive integers"):
+        ModelSpec((10, dim, 2))
+    assert ModelSpec(np.array([10, 3, 2])).layer_dims == (10, 3, 2)
 
 
 class TestConfigParsing:
