@@ -6,7 +6,6 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +37,7 @@ def _load(args) -> ExperimentConfig:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.output_dir is not None:
-        config = replace(config, output_dir=Path(args.output_dir))
+        config = replace(config, output_dir=args.output_dir)
     if config.output_dir is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --output-dir")
     return config

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .data import Federation
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, check_fields
 from .model import ModelSpec
 from .seeding import derive_seed
 
@@ -34,7 +34,7 @@ class LocalTrainingConfig:
     eta_local: float = 0.01
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size is not FULL_BATCH and self.batch_size < 1:

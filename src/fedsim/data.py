@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FederationFormatError, require_finite
+from .errors import ConfigError, FederationFormatError, check_fields
 
 # Class index counted as a detection by the evaluation pipeline.
 POSITIVE_LABEL = 1
@@ -48,6 +48,8 @@ class Federation:
         for name, dtype in (("X", np.float64), ("y", np.intp), ("duration", np.float64),
                             ("user_ids", np.intp), ("offsets", np.intp)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if type(self.class_count) is not int or self.class_count < 2:  # the rule of a federation file's header
+            raise ValueError(f"class_count must be an integer >= 2, got {self.class_count!r}")
         X, y, duration, user_ids, offsets = self.X, self.y, self.duration, self.user_ids, self.offsets
         if user_ids.ndim != 1 or len(user_ids) == 0:
             raise ValueError("federation needs at least one partition")
@@ -126,7 +128,7 @@ class FederationSpec:
     negative_duration_s: float = 3.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.user_count < 1:
             raise ConfigError("user_count must be >= 1")
         if self.size_mean <= 0:

@@ -16,9 +16,7 @@ import functools
 import itertools
 import json
 import logging
-import sys
 import time
-import types
 import typing
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -39,7 +37,7 @@ from .data import (
     split_users,
     synthesize_federation,
 )
-from .errors import ConfigError, EvaluationError, is_integer, require_finite
+from .errors import ConfigError, EvaluationError, check_fields, type_hints
 from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
@@ -71,6 +69,7 @@ class FederationSource:
     load: Path | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if (self.synthesize is None) == (self.load is None):
             raise ConfigError("federation source needs exactly one of 'synthesize' or 'load'")
 
@@ -96,7 +95,7 @@ class SplitConfig:
     dev_frac: float = DEFAULT_DEV_FRAC
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         check_split(self.train_frac, self.dev_frac)
 
 
@@ -116,7 +115,6 @@ class ExperimentConfig(RoundConfig):
     baseline_mode: BaselineMode = BaselineMode.NONE
 
     def __post_init__(self):
-        require_finite(self)
         super().__post_init__()
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
@@ -176,56 +174,26 @@ def _to_json(value):
 
 
 def _from_json(cls, raw, where: str = ""):
-    """Build dataclass `cls` from a JSON object, field by field.
-
-    Absent keys take the dataclass default. Unknown keys, missing required
-    keys and mistyped values raise ConfigError naming the dotted key.
-    """
+    """Build dataclass `cls` from a JSON object: a field's object becomes its config dataclass, and
+    every other value goes to the constructor as it is, to be checked as in Python (errors.check_fields).
+    Absent keys take the dataclass default. A document that is not an object, unknown keys and missing
+    required keys raise ConfigError naming the dotted key."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'config'} must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     rest = dict(raw)
-    hints = typing.get_type_hints(cls)
+    hints = type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = f"{where}.{f.name}" if where else f.name
         if f.name in rest:
-            kwargs[f.name] = _coerce(hints[f.name], rest.pop(f.name), key)
+            value = rest.pop(f.name)  # a JSON object becomes its field's config dataclass (X, or X | None)
+            nested = [k for k in typing.get_args(hints[f.name]) or [hints[f.name]] if dataclasses.is_dataclass(k)]
+            kwargs[f.name] = _from_json(nested[0], value, key) if nested and isinstance(value, dict) else value
         elif f.default is dataclasses.MISSING:
             raise ConfigError(f"missing required key {key!r}")
     if rest:
         raise ConfigError(f"{where or 'config'}: unknown keys {sorted(rest)}")
     return cls(**kwargs)
-
-
-def _coerce(tp, value, key: str):
-    """Check a JSON value against a field's type hint and convert it."""
-    if isinstance(tp, types.UnionType):  # X | None
-        (inner,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
-        return None if value is None else _coerce(inner, value, key)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        inner = typing.get_args(tp)[0]
-        return tuple(_coerce(inner, item, f"{key}[{i}]") for i, item in enumerate(value))
-    if dataclasses.is_dataclass(tp):
-        return _from_json(tp, value, key)
-    if tp is int:
-        if is_integer(value):
-            return value
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if tp is float:
-        # the range test is false for NaN, the infinities and integers too large for a float
-        if (isinstance(value, float) or is_integer(value)) and -sys.float_info.max <= value <= sys.float_info.max:
-            return float(value)
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    if issubclass(tp, enum.Enum):
-        try:
-            return tp(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be one of {[m.value for m in tp]}, got {value!r}") from None
-    return tp(value)  # str or Path
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -289,7 +257,7 @@ def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]
     """Write report.json when output_dir is set, through `replacing`, so a
     failed write leaves no truncated report.json."""
     if config.output_dir is not None:
-        with replacing(Path(config.output_dir) / "report.json") as fh:
+        with replacing(config.output_dir / "report.json") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return ExperimentResult(report=report, metrics=metrics)
@@ -311,7 +279,7 @@ def _optimize(
     """
     if config.output_dir is not None:  # an earlier run's files must not sit beside this run's
         for name in ("metrics.csv", "report.json"):
-            (Path(config.output_dir) / name).unlink(missing_ok=True)
+            (config.output_dir / name).unlink(missing_ok=True)
     evaluate = pooled_eval if config.eval_mode is EvalMode.POOLED else federated_eval
 
     def named(pool: str, compute: Callable[..., float], *args) -> float:
@@ -339,7 +307,7 @@ def _optimize(
             logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
             if config.output_dir is not None:
                 _write_row(
-                    Path(config.output_dir) / "metrics.csv",
+                    config.output_dir / "metrics.csv",
                     ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"],
                     [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb],
                     first=len(metrics) == 1,
@@ -486,7 +454,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         points.append((dict(zip(keys, combo)), point_config))
 
     if config.output_dir is not None:  # an earlier sweep's rows must not sit beside this one's
-        (Path(config.output_dir) / "sweep.csv").unlink(missing_ok=True)
+        (config.output_dir / "sweep.csv").unlink(missing_ok=True)
     rows: list[dict] = []
     for params, point_config in points:
         try:
@@ -498,7 +466,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
             values = {"round": rec.round, "dev_metric": rec.dev_metric, "train_loss_mean": rec.train_loss_mean}
             if config.output_dir is not None:
                 _write_row(
-                    Path(config.output_dir) / "sweep.csv",
+                    config.output_dir / "sweep.csv",
                     keys + list(values),
                     cells + list(values.values()),
                     first=not rows,

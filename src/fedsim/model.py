@@ -25,10 +25,10 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if not all(is_integer(d) and d >= 1 for d in self.layer_dims):
-            raise ConfigError(f"layer_dims must be positive integers, got {tuple(self.layer_dims)}")
-        dims = tuple(int(d) for d in self.layer_dims)
-        object.__setattr__(self, "layer_dims", dims)
+        dims = self.layer_dims
+        if not isinstance(dims, (list, tuple, np.ndarray)) or not all(is_integer(d) and d >= 1 for d in dims):
+            raise ConfigError(f"layer_dims must be positive integers, got {dims!r}")
+        object.__setattr__(self, "layer_dims", dims := tuple(int(d) for d in dims))
         if len(dims) < 2:
             raise ConfigError("layer_dims needs at least an input dim and a class count")
         if dims[-1] < 2:

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation, model
 from .client import LocalTrainingConfig, local_step_count, train_local, train_one_step
 from .data import Federation
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, check_fields
 from .model import ModelSpec
 from .seeding import derive_seed
 
@@ -49,10 +49,9 @@ class AveragingStrategy:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", AveragingKind(self.kind))
+        check_fields(self)
         if self.eta_global is None:
             object.__setattr__(self, "eta_global", DEFAULT_ETA_GLOBAL[self.kind])
-        require_finite(self)
         if self.eta_global <= 0:
             raise ConfigError("eta_global must be positive")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
@@ -113,6 +112,7 @@ class RoundConfig:
     participation: float = 0.1
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation ratio must lie in (0, 1]")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -665,6 +666,21 @@ class TestInvariants:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="user 2: .* duration -1.0 negative"):
             make_federation({1: [example()], 2: [example(), example(duration=-1.0)]})
+
+    @pytest.mark.parametrize("class_count", [1, 0, 2.5, 2.0, True, "2", np.int64(3)])
+    def test_class_count_a_file_cannot_hold_rejected(self, class_count):
+        # the rule of a federation file's header, so that what saves also loads; json.dumps refuses numpy's ints
+        fed = tiny_federation()
+        message = rf"^class_count must be an integer >= 2, got {re.escape(repr(class_count))}$"
+        with pytest.raises(ValueError, match=message):
+            Federation(fed.X, fed.y, fed.duration, fed.user_ids, fed.offsets, class_count)
+
+    @pytest.mark.parametrize("class_count", [2, 3])
+    def test_federation_saves_and_reloads(self, tmp_path, class_count):
+        fed = tiny_federation()
+        fed = Federation(fed.X, fed.y, fed.duration, fed.user_ids, fed.offsets, class_count)
+        save_federation(fed, tmp_path / "federation.jsonl")
+        assert load_federation(tmp_path / "federation.jsonl") == fed
 
     @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12), data=st.data())
     @settings(max_examples=150, deadline=None)

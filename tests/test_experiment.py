@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import re
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim.experiment
 from fedsim import (
@@ -47,6 +51,7 @@ from fedsim.experiment import (
     run_experiment,
     sweep,
 )
+from fedsim.model import ACTIVATIONS
 
 from conftest import forward
 
@@ -129,7 +134,14 @@ def test_int_field_rejects_non_integers_from_python(cls, required, name):
     for value in (1.5, 2.0, True, "3"):
         with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
             cls(**{**required, name: value})
-    assert getattr(cls(**{**required, name: np.int64(3)}), name) == 3
+    stored = getattr(cls(**{**required, name: np.int64(3)}), name)
+    assert stored == 3 and type(stored) is int  # derive_seed and json.dumps refuse numpy's integers
+
+
+def test_numpy_integer_master_seed_runs_as_its_int(tmp_path):
+    config = config_from_dict(base_raw(max_rounds=3, output_dir=str(tmp_path)))
+    run_experiment(dataclasses.replace(config, master_seed=np.int64(7)))
+    assert json.loads((tmp_path / "report.json").read_text())["config_echo"] == config.to_dict()
 
 
 @pytest.mark.parametrize("dim", [3.7, 3.0, True])
@@ -137,6 +149,148 @@ def test_model_spec_rejects_non_integer_dims(dim):
     with pytest.raises(ConfigError, match="^layer_dims must be positive integers"):
         ModelSpec((10, dim, 2))
     assert ModelSpec(np.array([10, 3, 2])).layer_dims == (10, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: LocalTrainingConfig(eta_local="0.1"), "eta_local"),
+        (lambda: EvalTargets(recall_target=True), "recall_target"),
+        (lambda: RoundConfig(model=ModelSpec((3, 2)), participation="0.5"), "participation"),
+        (lambda: FederationSource(load=5), "load"),
+        (lambda: ExperimentConfig(**CONFIG_CLASSES[ExperimentConfig], local={"epochs": 2}), "local"),
+        (lambda: ModelSpec(5), "layer_dims"),
+    ],
+    ids=["eta_local", "recall_target", "participation", "load", "local", "layer_dims"],
+)
+def test_mistyped_value_from_python_names_its_field(build, name):
+    with pytest.raises(ConfigError, match=rf"^{name} must be "):
+        build()
+
+
+def reals(lo: float, hi: float):
+    """JSON numbers in [lo, hi]: floats, and the integers among them, which a float field takes too."""
+    return st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))
+
+
+PATHS = st.text(alphabet="ab/._-", min_size=1, max_size=8)
+
+
+@st.composite
+def raw_configs(draw) -> dict:
+    """A valid JSON config, each key present or left to its default."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    dims[-1] = max(dims[-1], 2)
+    synthesize = st.fixed_dictionaries(
+        {"user_count": st.integers(1, 10**6), "feature_dim": st.just(dims[0]), "class_count": st.just(dims[-1])},
+        optional={
+            "size_mean": reals(1e-3, 1e3),
+            "size_std": reals(0, 1e3),
+            "positive_rate": st.floats(0, 1, exclude_min=True, exclude_max=True),
+            "user_shift_scale": reals(0, 10),
+            "negative_duration_s": reals(1e-3, 10),
+        },
+    )
+    train_frac = draw(st.floats(0, 1))
+    below_one = st.floats(0, 1, exclude_max=True)
+    sections = {
+        "split": st.fixed_dictionaries({"train_frac": st.just(train_frac), "dev_frac": st.floats(0, 1 - train_frac)}),
+        "local": st.fixed_dictionaries(
+            {},
+            optional={"epochs": st.integers(1, 50), "batch_size": st.none() | st.integers(1, 10**4),
+                      "eta_local": reals(0, 10)},
+        ),
+        "strategy": st.fixed_dictionaries(
+            {},
+            optional={"kind": st.sampled_from(["plain", "adam"]), "eta_global": st.none() | reals(1e-6, 10),
+                      "beta1": below_one, "beta2": below_one, "epsilon": st.floats(1e-12, 1)},
+        ),
+        "participation": st.floats(0, 1, exclude_min=True) | st.just(1),
+        "max_rounds": st.integers(1, 10**4),
+        "targets": st.fixed_dictionaries({}, optional={"fah_budget": reals(1e-3, 1e3), "recall_target": reals(0, 1)}),
+        "master_seed": st.integers(0, 2**64),
+        "output_dir": st.none() | PATHS,
+        "eval_every": st.integers(1, 50),
+        "eval_mode": st.sampled_from(["federated", "pooled"]),
+        "baseline_mode": st.sampled_from(["none", "central_adam", "central_sgd"]),
+    }
+    source = st.fixed_dictionaries({"synthesize": synthesize}) | st.fixed_dictionaries({"load": PATHS})
+    activation = st.sampled_from(ACTIVATIONS)
+    model = st.fixed_dictionaries({"layer_dims": st.just(dims)}, optional={"activation": activation})
+    return draw(st.fixed_dictionaries({"federation": source, "model": model}, optional=sections))
+
+
+def scalar_leaves(raw: dict, path: tuple = ()):
+    """Key paths of the values in a JSON config that are neither objects nor lists."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            yield from scalar_leaves(value, path + (key,))
+        elif not isinstance(value, list):
+            yield path + (key,)
+
+
+def replaced(config, path: tuple, value):
+    """config with the field at path set to value, each dataclass on the path rebuilt in Python, innermost first."""
+    head, *rest = path
+    return dataclasses.replace(config, **{head: replaced(getattr(config, head), rest, value) if rest else value})
+
+
+def outcome(build: typing.Callable):
+    """What build returns, or the message of the ConfigError it raises."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return str(exc)
+
+
+# True, a list, an object and NaN fit no scalar field; the rest fit some and not others
+MISTYPED = [True, [1], {"a": 1}, float("nan")]
+OTHER_VALUES = ["x", 1.5, -1, None, 10**400]
+
+
+@given(raw=raw_configs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_json_and_python_configs_meet_one_check(raw, data):
+    config = config_from_dict(raw)
+    assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    path = data.draw(st.sampled_from(list(scalar_leaves(config.to_dict()))))
+    mistyped = data.draw(st.booleans())
+    value = data.draw(st.sampled_from(MISTYPED if mistyped else OTHER_VALUES))
+    edited = config.to_dict()
+    node = functools.reduce(dict.__getitem__, path[:-1], edited)
+    node[path[-1]] = value
+    from_json = outcome(lambda: config_from_dict(edited))
+    assert from_json == outcome(lambda: replaced(config, path, value))
+    if mistyped:
+        assert isinstance(from_json, str) and path[-1] in from_json
+
+
+class TestPythonBuiltEnumValues:
+    # a Python-built config takes an enum field's string value as its member, as JSON does
+    def test_eval_mode_string_scores_as_its_member(self, tmp_path):
+        base = dataclasses.replace(config_from_dict(base_raw()), max_rounds=4, eval_mode=EvalMode.FEDERATED)
+        for mode in ("pooled", EvalMode.POOLED):
+            run_experiment(dataclasses.replace(base, eval_mode=mode, output_dir=tmp_path / repr(mode)))
+        csvs = [(tmp_path / repr(mode) / "metrics.csv").read_bytes() for mode in ("pooled", EvalMode.POOLED)]
+        assert csvs[0] == csvs[1]
+        run_experiment(dataclasses.replace(base, output_dir=tmp_path / "federated"))
+        assert (tmp_path / "federated" / "metrics.csv").read_bytes() != csvs[0]
+
+    def test_baseline_mode_string_trains_as_its_member(self, tmp_path):
+        base = dataclasses.replace(config_from_dict(base_raw()), max_rounds=6, strategy=AveragingStrategy.adam(0.05))
+        for mode in ("central_adam", BaselineMode.CENTRAL_ADAM, BaselineMode.CENTRAL_SGD):
+            run_baseline(dataclasses.replace(base, baseline_mode=mode, output_dir=tmp_path / repr(mode)))
+        adam, member, sgd = (
+            (tmp_path / repr(mode) / "metrics.csv").read_bytes()
+            for mode in ("central_adam", BaselineMode.CENTRAL_ADAM, BaselineMode.CENTRAL_SGD)
+        )
+        assert adam == member != sgd
+
+    def test_baseline_mode_string_none_is_refused(self):
+        config = dataclasses.replace(config_from_dict(base_raw()), baseline_mode="none")
+        assert config.baseline_mode is BaselineMode.NONE
+        with pytest.raises(ConfigError, match="baseline_mode is 'none'"):
+            run_baseline(config)
 
 
 class TestConfigParsing:
@@ -226,7 +380,7 @@ class TestConfigParsing:
         path = tmp_path / "cfg.json"
         for value in (float("nan"), float("inf"), float("-inf"), 10**400):
             path.write_text(json.dumps(base_raw(targets={"fah_budget": value})))
-            with pytest.raises(ConfigError, match=r"targets\.fah_budget must be a finite number"):
+            with pytest.raises(ConfigError, match=r"^fah_budget must be a finite number, got "):
                 load_config(path)
 
     def test_readme_example_config_parses(self):
