@@ -12,7 +12,6 @@ from .data import (
     Federation,
     FederationSpec,
     load_federation,
-    partition_stats,
     save_federation,
     split_users,
     synthesize_federation,
@@ -21,7 +20,6 @@ from .errors import ConfigError, EvaluationError, FederationFormatError
 from .evaluation import (
     EvalTargets,
     OperatingPoint,
-    early_stop_check,
     federated_eval,
     operating_point,
     pooled_eval,

@@ -1,17 +1,16 @@
 """Client-side local training: mini-batch SGD over one user's rows of a Federation.
 
-Shuffling is reseeded per (round_seed, user_id, epoch), so a client's result
-depends only on its own rows: not on the federation's other users, nor on
-which other clients train or in what order. A batch that covers every row
-takes them in stored order and draws no seed. The centralized baseline draws
-its batches from the same generator. Clients that each take one step train
-stacked, a block of them per gradient pass (train_one_step).
+Each epoch's batches (epoch_batches) are reshuffled per (round_seed, user_id,
+epoch), so a client's result depends only on its own rows: not on the
+federation's other users, nor on which other clients train or in what order.
+A batch that covers every row takes them in stored order and draws no seed.
+The centralized baseline takes its batches from the same function, one epoch
+at a time. Clients that each take one step train stacked, a block of them per
+gradient pass (train_one_step).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Final
 
@@ -52,20 +51,17 @@ def local_step_count(n_k: int | np.ndarray, batch_size: int | None, epochs: int)
     return epochs * -(-n_k // b)
 
 
-def minibatches(n: int, batch_size: int | None, *seed_parts) -> Iterator[np.ndarray]:
-    """Endless index arrays of shuffled mini-batches over n examples.
-
-    Each epoch is a fresh permutation seeded by derive_seed(*seed_parts,
-    epoch); its final partial batch is yielded as-is. A batch that covers
-    every row is the rows in stored order, and no seed is drawn.
+def epoch_batches(n: int, batch_size: int | None, *seed_parts) -> list[np.ndarray]:
+    """Index arrays of one epoch's mini-batches over n examples: slices of
+    epoch_order(n, *seed_parts), the epoch last in seed_parts, and the final
+    partial batch as-is. A batch that covers every row is the rows in stored
+    order, and no seed is drawn.
     """
     batch = n if batch_size is FULL_BATCH else batch_size
     if batch >= n:  # shuffling one whole batch would change only how the gradient's sums round
-        yield from itertools.repeat(np.arange(n))
-    for epoch in itertools.count():
-        order = epoch_order(n, *seed_parts, epoch)
-        for start in range(0, n, batch):
-            yield order[start : start + batch]
+        return [np.arange(n)]
+    order = epoch_order(n, *seed_parts)
+    return [order[start : start + batch] for start in range(0, n, batch)]
 
 
 def epoch_order(n: int, *seed_parts) -> np.ndarray:
@@ -83,7 +79,7 @@ def train_local(
 ) -> np.ndarray:
     """Run local SGD on user_id's rows from the broadcast weights; return the trained weights.
 
-    Batches come from minibatches, reshuffled per epoch; a partial final batch is used as-is.
+    Each of cfg.epochs epochs takes epoch_batches(n, cfg.batch_size, round_seed, user_id, epoch).
     w_start is never mutated. An unknown user id raises ValueError.
     """
     k = federation.segments([user_id])[0]
@@ -97,12 +93,12 @@ def train_local(
     # built once per update; the views of w stay valid because w changes only in place
     buffer = np.empty_like(w)
     workspace = dict(out=buffer, layers=model._layer_views(spec, w), out_layers=model._layer_views(spec, buffer))
-    batches = minibatches(n, cfg.batch_size, round_seed, user_id)
     try:
-        for idx in itertools.islice(batches, local_step_count(n, cfg.batch_size, cfg.epochs)):
-            grad = model.gradient_from_arrays(spec, w, X[idx], y[idx], **workspace)
-            grad *= cfg.eta_local
-            w -= grad
+        for epoch in range(cfg.epochs):
+            for idx in epoch_batches(n, cfg.batch_size, round_seed, user_id, epoch):
+                grad = model.gradient_from_arrays(spec, w, X[idx], y[idx], **workspace)
+                grad *= cfg.eta_local
+                w -= grad
         # once per update: a non-finite coordinate never turns finite again
         if not np.isfinite(w).all():
             raise FloatingPointError

@@ -1,4 +1,4 @@
-"""Synthetic non-i.i.d. federations: generation, user splits, file I/O, stats.
+"""Synthetic non-i.i.d. federations: generation, user splits, file I/O.
 
 A federation is a set of user partitions with heavy-tailed sizes, a
 per-user feature offset (speaker-shift analog) on top of class-conditional
@@ -422,17 +422,3 @@ def load_federation(path: str | Path) -> Federation:
         return Federation(X, y, duration, uid[starts], np.append(starts, len(uid)), class_count)
     except (ValueError, TypeError, KeyError, RecursionError):
         return _load_lines(path)
-
-
-def partition_stats(federation: Federation) -> dict[str, float]:
-    """Sample statistics over users; std is the population standard deviation."""
-    sizes = np.diff(federation.offsets).astype(np.float64)
-    positives = int(np.count_nonzero(federation.y == POSITIVE_LABEL))
-    total = federation.total_examples
-    return {
-        "size_mean": float(sizes.mean()),
-        "size_std": float(sizes.std()),
-        "positive_rate": positives / total,
-        "user_count": federation.user_count,
-        "total_examples": total,
-    }

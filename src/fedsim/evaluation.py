@@ -1,5 +1,5 @@
 """Scoring, operating-point selection at a false-alarms-per-hour budget,
-per-user and pooled recall aggregation, and the early-stopping rule.
+and per-user and pooled recall aggregation.
 
 The detection score of an example is the model's positive-class
 probability; an example triggers when its score is >= the threshold.
@@ -181,8 +181,3 @@ def pooled_eval(
     """Recall at a single operating point over all eval users' pooled
     examples: the recall of the one segment."""
     return _segment_recalls(spec, w, federation, eval_user_ids, targets, pooled=True)[1].item()
-
-
-def early_stop_check(metric: float, targets: EvalTargets) -> bool:
-    """True once the metric meets the recall target (inclusive)."""
-    return metric >= targets.recall_target

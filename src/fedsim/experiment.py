@@ -22,11 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import model as model_ops
 from . import server
-from .client import local_step_count, minibatches
+from .client import epoch_batches, local_step_count
 from .data import (
     Federation,
     FederationSpec,
@@ -38,7 +36,7 @@ from .data import (
     synthesize_federation,
 )
 from .errors import ConfigError, EvaluationError, check_fields, type_hints
-from .evaluation import EvalTargets, early_stop_check, eval_segments, federated_eval, pooled_eval
+from .evaluation import EvalTargets, eval_segments, federated_eval, pooled_eval
 from .model import ModelSpec, xavier_init
 from .seeding import derive_seed
 from .server import RoundConfig, ServerState, cohort_loss, run_round, upload_cost_bytes
@@ -264,18 +262,21 @@ def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]
 
 
 def _optimize(
-    config: ExperimentConfig, step: Callable[[int], tuple], unit: str, federation: Federation, dev, test, t0
-) -> tuple[list[MetricsRecord], dict, int | None]:
-    """The loop run_experiment and run_baseline share.
+    config: ExperimentConfig, state: ServerState, step: Callable[[ServerState, int], tuple], unit: str,
+    federation: Federation, dev, test, t0,
+) -> tuple[list[MetricsRecord], dict, int | None, ServerState]:
+    """The loop run_experiment and run_baseline share; it alone holds the run's state.
 
-    `step(t)` takes step t (one round, or one central step) and returns the
-    new weights, the upload MB per client after t steps, and a callable for
-    the train loss a row writes, called only on evaluated steps. Evaluates
-    dev users every `eval_every` steps and at max_rounds, stops at the first
-    step meeting the recall target, then evaluates test users once. Writes
-    each row as it is made; returns the rows, the report fields both drivers
-    write, and the step that met the target (None if none did). A
-    FloatingPointError of an evaluation or the train loss names `{unit} t` and the pool.
+    `step(state, t)` is a pure function of the state after step t - 1 and t:
+    it takes step t (one round, or one central step) and returns the state
+    after it, the upload MB per client after t steps, and a callable for the
+    train loss a row writes, called only on evaluated steps. Evaluates dev
+    users every `eval_every` steps and at max_rounds, stops at the first step
+    whose dev metric is at least the recall target, then evaluates test users
+    once. Writes each row as it is made; returns the rows, the report fields
+    both drivers write, the step that met the target (None if none did) and
+    the last state. A FloatingPointError of an evaluation or the train loss
+    names `{unit} t` and the pool.
     """
     if config.output_dir is not None:  # an earlier run's files must not sit beside this run's
         for name in ("metrics.csv", "report.json"):
@@ -291,9 +292,9 @@ def _optimize(
     metrics: list[MetricsRecord] = []
     dev_metric = to_target = None
     for t in range(1, config.max_rounds + 1):
-        w, upload_mb, train_loss = step(t)
+        state, upload_mb, train_loss = step(state, t)
         if t % config.eval_every == 0 or t == config.max_rounds:
-            dev_metric = named("dev", evaluate, config.model, w, federation, dev, config.targets)
+            dev_metric = named("dev", evaluate, config.model, state.weights, federation, dev, config.targets)
             metrics.append(
                 MetricsRecord(
                     round=t,
@@ -312,9 +313,10 @@ def _optimize(
                     [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb],
                     first=len(metrics) == 1,
                 )
-            if early_stop_check(dev_metric, config.targets):
+            if dev_metric >= config.targets.recall_target:
                 to_target = t
                 break
+    w = state.weights
     test_metric = named("test", evaluate, config.model, w, federation, test, config.targets) if test else None
     report = {
         "dev_metric": dev_metric,
@@ -322,7 +324,7 @@ def _optimize(
         "wall_seconds": time.perf_counter() - t0,
         "config_echo": config.to_dict(),
     }
-    return metrics, report, to_target
+    return metrics, report, to_target, state
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -334,29 +336,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
-    state = ServerState.initial(w0)
-    total_local_steps = 0
 
-    def step(t: int):
-        nonlocal state, total_local_steps
-        broadcast = state.weights
-        state, record = run_round(
-            state, federation, train, config, derive_seed(config.master_seed, "round", t)
-        )
-        sizes = federation.sizes(record.selected_users)
-        total_local_steps += int(local_step_count(sizes, config.local.batch_size, config.local.epochs).sum())
+    def step(state: ServerState, t: int):
+        new_state, record = run_round(state, federation, train, config, derive_seed(config.master_seed, "round", t))
         upload_mb = upload_cost_bytes(config.model.param_count, config.participation, t) / 1e6
-        train_loss = functools.partial(
-            cohort_loss, config.model, broadcast, federation, record.selected_users
-        )
-        return state.weights, upload_mb, train_loss
+        train_loss = functools.partial(cohort_loss, config.model, state.weights, federation, record.selected_users)
+        return new_state, upload_mb, train_loss
 
-    metrics, report, rounds_to_target = _optimize(config, step, "round", federation, dev, test, t0)
+    metrics, report, rounds_to_target, state = _optimize(
+        config, ServerState.initial(w0), step, "round", federation, dev, test, t0
+    )
     report.update(
         rounds_to_target=rounds_to_target,
         # the last step taken always writes a row
         upload_mb_per_client=metrics[-1].cumulative_upload_mb,
-        total_local_steps=total_local_steps,
+        total_local_steps=state.local_steps,
     )
     return _finish(config, report, metrics)
 
@@ -364,10 +358,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     """Centralized reference: pool all train users' data on one server.
 
-    Each step is one mini-batch, drawn from the clients' batch generator with
-    seed parts (master_seed, "baseline"), with plain SGD at eta_local or the
-    server's Adam at the strategy's settings; an evaluation row's train loss
-    is server.pool_loss over the whole train pool.
+    Step t takes slot (t - 1) % per_epoch of epoch (t - 1) // per_epoch of
+    the clients' epoch_batches over the pool, with seed parts (master_seed,
+    "baseline", epoch), per_epoch being the batches an epoch holds. It is
+    plain SGD at eta_local or the server's Adam at the strategy's settings;
+    an evaluation row's train loss is server.pool_loss over the whole train pool.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
@@ -375,25 +370,28 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     federation, train, dev, test, w0 = _prepare(config)
     rows = federation.rows(train)[0]
     X, y = federation.X[rows], federation.y[rows]
-    batches = minibatches(len(y), config.local.batch_size, config.master_seed, "baseline")
-    state = ServerState.initial(w0)
-    buffer = np.empty_like(state.weights)  # each step's weights are new; its gradient buffer is not
+    per_epoch = local_step_count(len(y), config.local.batch_size, 1)
+    # one epoch's batches are kept, for the steps that follow in the same epoch
+    epoch_of = functools.lru_cache(maxsize=1)(
+        functools.partial(epoch_batches, len(y), config.local.batch_size, config.master_seed, "baseline")
+    )
 
-    def step(t: int):
-        nonlocal state
-        idx = next(batches)
-        grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx], out=buffer)
+    def step(state: ServerState, t: int):
+        epoch, slot = divmod(t - 1, per_epoch)
+        idx = epoch_of(epoch)[slot]
+        grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
         try:
             if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
                 state = server.apply_adam(state, grad, config.strategy)
             else:
-                state = replace(state, weights=state.weights - config.local.eta_local * grad)
+                state = replace(state, weights=state.weights - config.local.eta_local * grad, round=state.round + 1)
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
-        w = state.weights
-        return w, 0.0, lambda: server.pool_loss(config.model, w, X, y)
+        return state, 0.0, functools.partial(server.pool_loss, config.model, state.weights, X, y)
 
-    metrics, report, steps_to_target = _optimize(config, step, "step", federation, dev, test, t0)
+    metrics, report, steps_to_target, _ = _optimize(
+        config, ServerState.initial(w0), step, "step", federation, dev, test, t0
+    )
     report.update(steps_to_target=steps_to_target, pooled_examples=len(y))
     return _finish(config, report, metrics)
 

@@ -71,12 +71,14 @@ class AveragingStrategy:
 
 @dataclass(frozen=True)
 class ServerState:
-    """Weights and Adam moments after `round` steps; building one, by replace too, checks they are finite."""
+    """Weights and Adam moments after `round` steps, and the clients' local gradient steps
+    so far; building one, by replace too, checks the arrays are finite."""
 
     weights: np.ndarray
     round: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    local_steps: int = 0
 
     def __post_init__(self):
         if self.m is None:
@@ -200,13 +202,15 @@ def run_round(
     each takes one local step, they train through train_one_step in blocks of
     whole clients, so a round holds one block's weights and deltas at a
     time; otherwise one at a time through train_local. The configured
-    update rule then advances the global weights. A client's, the new state's
-    or the pseudo-gradient norm's FloatingPointError names the round.
+    update rule then advances the global weights, and the new state counts
+    the cohort's local steps. A client's, the new state's or the
+    pseudo-gradient norm's FloatingPointError names the round.
     """
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
-    sizes = federation.sizes(selected).tolist()
+    sizes = federation.sizes(selected)
+    steps = local_step_count(sizes, cfg.local.batch_size, cfg.local.epochs)
     w_prev = state.weights
-    if local_step_count(max(sizes), cfg.local.batch_size, cfg.local.epochs) == 1:  # steps grow with n_k
+    if steps.max() == 1:
         # blocks of whole clients: a new one begins at each client whose first row falls in a new
         # EVAL_ROWS-row block of the cohort's rows, and one holds at most EVAL_ROWS**2 floats of weights
         # (2 MiB, about an EVAL_ROWS-row pass of the paper-scale model); so one-row clients stay bounded too
@@ -219,7 +223,7 @@ def run_round(
     else:
         client_weights = (train_local(w_prev, federation, u, cfg.local, cfg.model, round_seed) for u in selected)
     try:
-        grad = pseudo_gradient(w_prev, sizes, client_weights)
+        grad = pseudo_gradient(w_prev, sizes.tolist(), client_weights)
         # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
         update_rule = apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain
         new_state = update_rule(state, grad, cfg.strategy)
@@ -231,10 +235,11 @@ def run_round(
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
 
+    new_state = replace(new_state, local_steps=state.local_steps + int(steps.sum()))
     record = RoundRecord(
         round=new_state.round,
         selected_users=tuple(selected),
-        n_r=sum(sizes),
+        n_r=int(sizes.sum()),
         pseudo_gradient_norm=grad_norm,
     )
     return new_state, record

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from fedsim import (
     train_local,
     xavier_init,
 )
-from fedsim.client import epoch_order, minibatches, train_one_step
+from fedsim.client import epoch_batches, epoch_order, train_one_step
 
 from conftest import LabeledExample, gaussian_examples, make_federation, reference_gradient
 
@@ -76,21 +75,21 @@ def refuse_seed(*parts):
     raise AssertionError(f"a seed was drawn: {parts}")
 
 
-class TestMinibatches:
+class TestEpochBatches:
     @pytest.mark.parametrize("batch", [FULL_BATCH, 7, 8, 100])
     def test_a_batch_covering_every_row_is_stored_order_and_draws_no_seed(self, monkeypatch, batch):
         monkeypatch.setattr(fedsim.client, "derive_seed", refuse_seed)
-        for idx in itertools.islice(minibatches(7, batch, 4, 9), 5):
-            assert idx.tolist() == list(range(7))
+        for epoch in range(5):
+            assert [idx.tolist() for idx in epoch_batches(7, batch, 4, 9, epoch)] == [list(range(7))]
 
     @pytest.mark.parametrize("n,batch", [(11, 3), (8, 4), (2, 1)])
     def test_smaller_batches_are_slices_of_the_epoch_order(self, n, batch):
-        per_epoch = -(-n // batch)
-        got = list(itertools.islice(minibatches(n, batch, 4, 9), 3 * per_epoch))
         for epoch in range(3):
             order = epoch_order(n, 4, 9, epoch).tolist()
             want = [order[start : start + batch] for start in range(0, n, batch)]
-            assert [idx.tolist() for idx in got[epoch * per_epoch : (epoch + 1) * per_epoch]] == want
+            got = epoch_batches(n, batch, 4, 9, epoch)
+            assert [idx.tolist() for idx in got] == want
+            assert len(got) == local_step_count(n, batch, 1)
 
 
 class TestTrainLocal:
@@ -116,10 +115,12 @@ class TestTrainLocal:
         fed = make_federation({8: gaussian_examples(rng, spec, 11)})
         w0 = rng.standard_normal(spec.param_count)
         cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.05)
-        w = w0
-        steps = local_step_count(11, batch, epochs)
-        for idx in itertools.islice(minibatches(11, batch, 6, 8), steps):
-            w = w - cfg.eta_local * reference_gradient(spec, w, fed.X[idx], fed.y[idx])
+        w, b = w0, 11 if batch is FULL_BATCH else batch
+        for epoch in range(epochs):  # a batch that covers every row takes them in stored order
+            order = np.arange(11) if b >= 11 else epoch_order(11, 6, 8, epoch)
+            for start in range(0, 11, b):
+                idx = order[start : start + b]
+                w = w - cfg.eta_local * reference_gradient(spec, w, fed.X[idx], fed.y[idx])
         assert train_local(w0, fed, 8, cfg, spec, round_seed=6).tobytes() == w.tobytes()
 
     def test_full_batch_epochs_are_plain_steps_on_stored_rows(self, monkeypatch):

@@ -20,7 +20,6 @@ from fedsim import (
     FederationSpec,
     POSITIVE_LABEL,
     load_federation,
-    partition_stats,
     save_federation,
     split_users,
     synthesize_federation,
@@ -122,11 +121,12 @@ class TestSynthesize:
         spec = FederationSpec(
             user_count=1374, size_mean=39.0, size_std=32.0, positive_rate=0.18, feature_dim=4
         )
-        stats = partition_stats(synthesize_federation(spec, seed=2024))
-        assert 35.0 <= stats["size_mean"] <= 43.0
-        assert 27.0 <= stats["size_std"] <= 37.0
-        assert 0.16 <= stats["positive_rate"] <= 0.20
-        assert stats["user_count"] == 1374
+        fed = synthesize_federation(spec, seed=2024)
+        sizes = np.diff(fed.offsets)
+        assert 35.0 <= sizes.mean() <= 43.0
+        assert 27.0 <= sizes.std() <= 37.0
+        assert 0.16 <= np.mean(fed.y == POSITIVE_LABEL) <= 0.20
+        assert fed.user_count == len(sizes) == 1374
 
     def test_degenerate_spread_single_user(self):
         spec = FederationSpec(user_count=1, size_mean=39.0, size_std=0.0)
@@ -625,19 +625,6 @@ class TestBlockLoad:
         assert load_outcome(load_federation, path) == expected
 
 
-
-
-class TestPartitionStats:
-    def test_hand_arithmetic(self):
-        fed = make_federation({0: [example(0.0, 0)] * 10, 1: [example(0.0, 0)] * 30})
-        stats = partition_stats(fed)
-        assert stats["size_mean"] == 20.0
-        assert stats["size_std"] == 10.0
-        assert stats["total_examples"] == 40
-
-    def test_all_positive(self):
-        fed = make_federation({0: [example(0.0, 1), example(1.0, 1)]})
-        assert partition_stats(fed)["positive_rate"] == 1.0
 
 
 class TestInvariants:

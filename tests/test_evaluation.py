@@ -21,7 +21,6 @@ from fedsim import (
     ModelSpec,
     OperatingPoint,
     POSITIVE_LABEL,
-    early_stop_check,
     federated_eval,
     loss_from_arrays,
     operating_point,
@@ -618,15 +617,6 @@ class TestSumsAreLeftToRight:
 
 
 class TestEarlyStop:
-    def test_inclusive_boundary(self):
-        assert early_stop_check(0.95, EvalTargets(recall_target=0.95))
-
-    def test_below_boundary(self):
-        assert not early_stop_check(0.9499, EvalTargets(recall_target=0.95))
-
-    def test_zero_target_always_stops(self):
-        assert early_stop_check(0.0, EvalTargets(recall_target=0.0))
-
     def test_targets_validation(self):
         with pytest.raises(ConfigError):
             EvalTargets(fah_budget=0.0)

@@ -723,6 +723,125 @@ class TestEvalEveryInvariance:
         assert test_every_third == test_every_step is not None
 
 
+def capture_steps(monkeypatch, run, raw):
+    """Run `run` on raw through a spy on _optimize; return its step function, the
+    initial state and the state after each step taken, in order."""
+    real, seen = fedsim.experiment._optimize, {}
+
+    def spy(config, state, step, *rest):
+        seen.update(step=step, states=[state])
+
+        def recording(state, t):
+            taken = step(state, t)
+            seen["states"].append(taken[0])
+            return taken
+
+        return real(config, state, recording, *rest)
+
+    monkeypatch.setattr(fedsim.experiment, "_optimize", spy)
+    run(config_from_dict(raw))
+    return seen["step"], seen["states"]
+
+
+def state_bytes(state: ServerState) -> tuple:
+    return state.weights.tobytes(), state.m.tobytes(), state.v.tobytes(), state.round, state.local_steps
+
+
+def endless_batches(n: int, batch_size, *seed_parts):
+    """The baseline's batch order as an endless generator, every epoch one after the other: the oracle."""
+    batch = n if batch_size is FULL_BATCH else batch_size
+    if batch >= n:
+        yield from itertools.repeat(np.arange(n))
+    for epoch in itertools.count():
+        order = np.random.default_rng(derive_seed(*seed_parts, epoch)).permutation(n)
+        for start in range(0, n, batch):
+            yield order[start : start + batch]
+
+
+class TestOneRunState:
+    """Each step maps (state after step t - 1, t) to the state after step t, and reads nothing else."""
+
+    @pytest.mark.parametrize("run, extra", [
+        (run_experiment, {"max_rounds": 8}),
+        (run_baseline, {"baseline_mode": "central_adam", "max_rounds": 75}),
+        (run_baseline, {"baseline_mode": "central_sgd", "max_rounds": 75}),
+    ])
+    def test_replaying_steps_in_reverse_gives_each_state_bit_for_bit(self, monkeypatch, run, extra):
+        # B = 4 < n: clients shuffle two epochs each, and the baseline's 75 steps span three epochs of its pool
+        raw = base_raw(
+            participation=0.5, local={"epochs": 2, "batch_size": 4, "eta_local": 0.01},
+            strategy={"kind": "adam", "eta_global": 0.01},
+            targets={"fah_budget": 300.0, "recall_target": 1.0}, **extra,
+        )
+        step, states = capture_steps(monkeypatch, run, raw)
+        recorded = [state_bytes(state) for state in states]
+        assert len(states) == raw["max_rounds"] + 1
+        for t in reversed(range(1, len(states))):
+            assert state_bytes(step(states[t - 1], t)[0]) == recorded[t]
+            assert states[t].round == t
+        assert [state_bytes(state) for state in states] == recorded  # no step changed the state it read
+        assert (states[-1].local_steps > 0) == (run is run_experiment)
+
+    def test_total_local_steps_is_read_from_the_last_state(self, monkeypatch):
+        raw = base_raw(max_rounds=3, participation=0.5, local={"epochs": 2, "batch_size": 4, "eta_local": 0.05})
+        _, states = capture_steps(monkeypatch, run_experiment, raw)
+        assert run_experiment(config_from_dict(raw)).report["total_local_steps"] == states[-1].local_steps
+
+    @given(
+        user_count=st.integers(min_value=10, max_value=30),
+        batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=70)),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_baseline_step_t_takes_the_t_th_batch_of_the_endless_order(self, user_count, batch_size, data):
+        raw = base_raw(max_rounds=1, baseline_mode="central_sgd", local={"batch_size": batch_size})
+        raw["federation"]["synthesize"]["user_count"] = user_count
+        federation, train, _, _, _ = _prepare(config_from_dict(raw))
+        X = federation.X[federation.rows(train)[0]]
+        oracle = endless_batches(len(X), batch_size, raw["master_seed"], "baseline")
+        per_epoch = local_step_count(len(X), batch_size, 1)
+        want = {t: X[idx].tobytes() for t, idx in zip(range(1, 5 * per_epoch + 1), oracle)}
+        with pytest.MonkeyPatch.context() as mp:
+            step, (state, _) = capture_steps(mp, run_baseline, raw)
+            real, seen = model_ops.gradient_from_arrays, []
+
+            def recording(spec, w, X_batch, y_batch, **workspace):
+                seen.append(X_batch.tobytes())
+                return real(spec, w, X_batch, y_batch, **workspace)
+
+            mp.setattr(model_ops, "gradient_from_arrays", recording)
+            # any order: step t reads its batch from t alone
+            for t in data.draw(st.permutations(sorted(want))):
+                step(state, t)
+                assert seen[-1] == want[t], f"step {t}"
+
+
+class TestEarlyStopOfARun:
+    @pytest.mark.parametrize("run, extra", [
+        (run_experiment, {}),
+        (run_baseline, {"baseline_mode": "central_adam", "local": {"batch_size": 8, "eta_local": 0.05}}),
+    ])
+    def test_a_run_stops_at_the_first_evaluated_step_whose_dev_metric_meets_the_target(self, run, extra):
+        raw = base_raw(max_rounds=12, eval_mode="federated", targets={"fah_budget": 300.0, "recall_target": 1.0},
+                       strategy={"kind": "adam", "eta_global": 0.05}, participation=0.5, **extra)
+        key = "rounds_to_target" if run is run_experiment else "steps_to_target"
+
+        def stopped_at(recall_target, eval_every=1):
+            config = config_from_dict({**raw, "eval_every": eval_every,
+                                       "targets": {"fah_budget": 300.0, "recall_target": recall_target}})
+            result = run(config)
+            assert result.metrics[-1].round == (result.report[key] or raw["max_rounds"])
+            return result.report[key]
+
+        metrics = [rec.dev_metric for rec in run(config_from_dict(raw)).metrics]
+        # the first step after the first whose metric exceeds every earlier one: only it, or a later one, meets it
+        k = next(t for t in range(2, len(metrics) + 1) if metrics[t - 1] > max(metrics[: t - 1]))
+        assert k < raw["max_rounds"] and metrics[k - 1] < 1.0
+        assert stopped_at(metrics[k - 1]) == k
+        assert (stopped_at(math.nextafter(metrics[k - 1], 2.0)) or raw["max_rounds"]) > k
+        assert stopped_at(0.0, eval_every=3) == 3
+
+
 class TestSweep:
     def test_singleton_grid_matches_run_experiment(self):
         cfg = config_from_dict(base_raw(max_rounds=6))
