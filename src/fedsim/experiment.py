@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import enum
 import functools
@@ -21,6 +22,8 @@ import typing
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import model as model_ops
 from . import server
@@ -261,6 +264,33 @@ def _finish(config: ExperimentConfig, report: dict, metrics: list[MetricsRecord]
     return ExperimentResult(report=report, metrics=metrics)
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS in numpy.libs or numpy/.libs; None if numpy has none."""
+    numpy_dir = Path(np.__file__).parent
+    for lib in [*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".libs/*openblas*")]:
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get, set_ = (getattr(handle, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore the caller's count, exceptions included. A second
+    thread spins on through fedsim's small products; threads never split an inner sum, so no output moves."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)  # another BLAS is left alone
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
+@_one_blas_thread()
 def _optimize(
     config: ExperimentConfig, state: ServerState, step: Callable[[ServerState, int], tuple], unit: str,
     federation: Federation, dev, test, t0,

@@ -227,7 +227,7 @@ def run_round(
         # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
         update_rule = apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain
         new_state = update_rule(state, grad, cfg.strategy)
-        # a plain sum of squares: a BLAS dot this long wakes a second BLAS thread that then spins idle
+        # no BLAS dot: called outside a run's one-thread hold, a dot this long wakes a second thread that spins on
         grad_norm = math.sqrt(np.add.reduce(grad * grad))
         # finite coordinates can have a norm that overflows, and the plain rule keeps them finite
         if not math.isfinite(grad_norm):

@@ -1058,3 +1058,88 @@ class TestUserOrderInvariance:
                 del report["wall_seconds"]
                 outputs.append(((directory / "out" / "metrics.csv").read_bytes(), report))
             assert outputs[0] == outputs[1]
+
+
+OPENBLAS = fedsim.experiment._openblas_threads()
+# a count that is neither the one a run holds nor numpy's default on a host of 1, 2 or 4 CPUs
+CALLER_THREADS = 3
+DIVERGING_LOCAL = {"epochs": 1, "batch_size": 4, "eta_local": 1e308}
+BLAS_RUNS = {
+    "run_experiment": lambda raw: run_experiment(config_from_dict(raw)),
+    "run_baseline": lambda raw: run_baseline(config_from_dict(raw | {"baseline_mode": "central_sgd"})),
+    "sweep": lambda raw: sweep(config_from_dict(raw), {"participation": [0.5, 1.0]}),
+}
+
+
+def test_the_finder_controls_the_openblas_numpy_bundles():
+    # fails, rather than skips, where numpy ships an OpenBLAS whose thread count no run would hold
+    numpy_dir = Path(np.__file__).parent
+    bundled = [*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".libs/*openblas*")]
+    assert (OPENBLAS is not None) == bool(bundled), bundled
+    if OPENBLAS is not None:
+        get, set_ = OPENBLAS
+        before = get()
+        try:
+            set_(CALLER_THREADS)
+            assert get() == CALLER_THREADS
+        finally:
+            set_(before)
+
+
+@pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS")
+class TestOneBlasThread:
+    @pytest.fixture
+    def caller_threads(self):
+        """OpenBLAS at CALLER_THREADS for the test, the count it found restored after; yields the getter."""
+        get, set_ = OPENBLAS
+        before = get()
+        set_(CALLER_THREADS)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def threads_seen(monkeypatch) -> list[int]:
+        """The OpenBLAS count at each call of the run's evaluation function, recorded as it is called."""
+        seen, real = [], fedsim.experiment.pooled_eval
+
+        def recording(*args):
+            seen.append(OPENBLAS[0]())
+            return real(*args)
+
+        monkeypatch.setattr(fedsim.experiment, "pooled_eval", recording)
+        return seen
+
+    @pytest.mark.parametrize("run", sorted(BLAS_RUNS))
+    def test_a_run_holds_one_thread_then_restores_the_callers_count(self, monkeypatch, caller_threads, run):
+        seen = self.threads_seen(monkeypatch)
+        BLAS_RUNS[run](base_raw(max_rounds=3))
+        assert seen and set(seen) == {1}
+        assert caller_threads() == CALLER_THREADS
+
+    @pytest.mark.parametrize("run", sorted(BLAS_RUNS))
+    def test_a_diverging_run_restores_the_callers_count(self, caller_threads, run):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+            BLAS_RUNS[run](base_raw(local=DIVERGING_LOCAL))
+        assert caller_threads() == CALLER_THREADS
+
+    @pytest.mark.parametrize("run", sorted(BLAS_RUNS))
+    def test_an_evaluation_error_restores_the_callers_count(self, monkeypatch, caller_threads, run):
+        def failing(*args):
+            assert OPENBLAS[0]() == 1
+            raise EvaluationError("injected")
+
+        monkeypatch.setattr(fedsim.experiment, "pooled_eval", failing)
+        with pytest.raises(EvaluationError, match="injected"):
+            BLAS_RUNS[run](base_raw(max_rounds=3))
+        assert caller_threads() == CALLER_THREADS
+
+    def test_without_openblas_a_run_sets_nothing(self, monkeypatch, caller_threads):
+        held = run_experiment(config_from_dict(base_raw(max_rounds=3)))
+        monkeypatch.setattr(fedsim.experiment, "_openblas_threads", lambda: None)
+        seen = self.threads_seen(monkeypatch)
+        result = run_experiment(config_from_dict(base_raw(max_rounds=3)))
+        assert seen and set(seen) == {CALLER_THREADS}
+        assert caller_threads() == CALLER_THREADS
+        assert [dataclasses.replace(m, wall_seconds=0) for m in result.metrics] == [
+            dataclasses.replace(m, wall_seconds=0) for m in held.metrics
+        ]
