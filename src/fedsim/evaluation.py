@@ -23,11 +23,6 @@ logger = logging.getLogger(__name__)
 # Sentinel threshold just above every attainable score: nothing triggers.
 TAU_ABOVE_ALL = math.nextafter(1.0, 2.0)
 
-# Rows a model pass (scoring, the cohort and baseline train losses) takes at a
-# time (row_blocks). One pass over every evaluation row took the paper-scale
-# run's peak RSS from 67 to 108 MB; 512-row runs, to about 70 MB.
-EVAL_ROWS = 512
-
 
 @dataclass(frozen=True)
 class EvalTargets:
@@ -60,9 +55,9 @@ def sequential_sum(values) -> float:
     return total
 
 
-def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Positive-class probability of every row of X, order preserved."""
-    return model.batch_probs(spec, w, X)[:, POSITIVE_LABEL]
+def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray, rows=None) -> np.ndarray:
+    """Positive-class probability of every row of X, or of X[rows], order preserved."""
+    return model.batch_probs(spec, w, X, rows)[:, POSITIVE_LABEL]
 
 
 def operating_point(
@@ -117,13 +112,6 @@ def operating_points(
     return tau, hits / n_pos, false_alarms / neg_hours
 
 
-def row_blocks(rows: np.ndarray) -> list[np.ndarray]:
-    """rows (indices, or data along them) in blocks of EVAL_ROWS, whichever users
-    they belong to, a one-row tail joining the block before it: numpy multiplies
-    a one-row matrix with gemv, which rounds differently from gemm."""
-    return np.split(rows, range(EVAL_ROWS, len(rows) - 1, EVAL_ROWS))
-
-
 def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.ndarray, np.ndarray, list]:
     """(rows to score, in ascending user id; sizes of the segments whose
     recalls are found; users skipped). A segment is one user (federated) or
@@ -156,11 +144,11 @@ def eval_segments(federation: Federation, user_ids, pooled: bool) -> tuple[np.nd
 
 def _segment_recalls(spec, w, federation, user_ids, targets, pooled) -> tuple[np.ndarray, np.ndarray]:
     """Sizes and recalls of the eval_segments segments, every segment's operating
-    point in one search. The rows are scored in row_blocks, whatever the segments."""
+    point in one search. The rows are scored in one pass, whatever the segments."""
     rows, sizes, skipped = eval_segments(federation, user_ids, pooled)
     if skipped:
         logger.info("federated_eval skipped %d user(s) without both classes: %s", len(skipped), skipped)
-    scores = np.concatenate([score_examples(spec, w, federation.X[r]) for r in row_blocks(rows)])
+    scores = score_examples(spec, w, federation.X, rows)
     return sizes, operating_points(scores, federation.y[rows], federation.duration[rows], sizes, targets)[1]
 
 

@@ -392,7 +392,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
     the clients' epoch_batches over the pool, with seed parts (master_seed,
     "baseline", epoch), per_epoch being the batches an epoch holds. It is
     plain SGD at eta_local or the server's Adam at the strategy's settings;
-    an evaluation row's train loss is server.pool_loss over the whole train pool.
+    an evaluation row's train loss is model.loss_from_arrays over the whole train pool.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
@@ -417,7 +417,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
                 state = replace(state, weights=state.weights - config.local.eta_local * grad, round=state.round + 1)
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
-        return state, 0.0, functools.partial(server.pool_loss, config.model, state.weights, X, y)
+        return state, 0.0, functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)
 
     metrics, report, steps_to_target, _ = _optimize(
         config, ServerState.initial(w0), step, "step", federation, dev, test, t0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import evaluation, model
+from . import model
 from .client import LocalTrainingConfig, local_step_count, train_local, train_one_step
 from .data import Federation
 from .errors import ConfigError, check_fields
@@ -120,9 +120,7 @@ class RoundConfig:
 
 
 def select_clients(user_ids, participation: float, round_seed: int) -> list[int]:
-    """Uniform sample without replacement of max(1, round(C*K)) users, sorted."""
-    if not 0.0 < participation <= 1.0:
-        raise ConfigError("participation ratio must lie in (0, 1]")
+    """Uniform sample without replacement of max(1, round(C*K)) users, sorted (RoundConfig checks C)."""
     ids = np.sort(np.asarray(user_ids))
     if not ids.size:
         raise ValueError("user id list must be nonempty")
@@ -178,11 +176,9 @@ def apply_adam(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingS
 
 
 def upload_cost_bytes(param_count: int, participation: float, rounds: int) -> int:
-    """Total bytes one average client uploads: param_count * 4 * C * rounds."""
+    """Total bytes one average client uploads: param_count * 4 * C * rounds (RoundConfig checks C)."""
     if param_count < 1:
         raise ConfigError("param_count must be >= 1")
-    if not 0.0 < participation <= 1.0:
-        raise ConfigError("participation ratio must lie in (0, 1]")
     if rounds < 0:
         raise ConfigError("rounds must be nonnegative")
     return int(math.floor(param_count * BYTES_PER_PARAM * participation * rounds + 0.5))
@@ -214,9 +210,9 @@ def run_round(
         # blocks of whole clients: a new one begins at each client whose first row falls in a new
         # EVAL_ROWS-row block of the cohort's rows, and one holds at most EVAL_ROWS**2 floats of weights
         # (2 MiB, about an EVAL_ROWS-row pass of the paper-scale model); so one-row clients stay bounded too
-        most = max(1, evaluation.EVAL_ROWS**2 // cfg.model.param_count)
+        most = max(1, model.EVAL_ROWS**2 // cfg.model.param_count)
         starts = np.cumsum(sizes) - sizes
-        firsts = np.flatnonzero(np.diff(starts // evaluation.EVAL_ROWS, prepend=-1)).tolist() + [len(selected)]
+        firsts = np.flatnonzero(np.diff(starts // model.EVAL_ROWS, prepend=-1)).tolist() + [len(selected)]
         blocks = [(lo, min(lo + most, b)) for a, b in zip(firsts, firsts[1:]) for lo in range(a, b, most)]
         client_weights = (train_one_step(w_prev, federation, selected[lo:hi], cfg.local, cfg.model, round_seed)
                           for lo, hi in blocks)
@@ -245,15 +241,8 @@ def run_round(
     return new_state, record
 
 
-def pool_loss(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy at w of the rows of (X, y): the train loss of the cohort and of the
-    baseline. The rows go through the model as views in row_blocks, whichever users they belong to."""
-    blocks = zip(evaluation.row_blocks(X), evaluation.row_blocks(y))
-    return float(np.concatenate([model.row_losses(spec, w, X_block, y_block) for X_block, y_block in blocks]).mean())
-
-
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:
-    """Mean train loss of the users' examples at weights w, pool_loss of their rows in
-    ascending user id: the n_k / n_r weighted mean of per-user losses, up to rounding."""
+    """Mean train loss of the users' examples at weights w, model.loss_from_arrays of their rows
+    in ascending user id: the n_k / n_r weighted mean of per-user losses, up to rounding."""
     rows = federation.rows(sorted(user_ids))[0]
-    return pool_loss(spec, w, federation.X[rows], federation.y[rows])
+    return model.loss_from_arrays(spec, w, federation.X[rows], federation.y[rows])

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fedsim.model
 from fedsim import POSITIVE_LABEL, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
 from fedsim.model import batch_probs
 
@@ -113,7 +116,7 @@ def reference_gradient(spec, w, X, y) -> np.ndarray:
     caches.append((a, None))
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    delta = e / e.sum(axis=-1, keepdims=True)
+    delta = e / left_to_right_class_sum(e)[..., None]
     delta[np.arange(X.shape[0]), y] -= 1.0
     delta /= X.shape[0]
     grad = np.empty_like(w)
@@ -133,6 +136,32 @@ def left_to_right_sum(values) -> float:
     """The floats added in order, as on every Python version; the builtin sum()
     compensates its rounding from Python 3.12 on."""
     return functools.reduce(operator.add, values, 0.0)
+
+
+def left_to_right_class_sum(e: np.ndarray) -> np.ndarray:
+    """e's class columns added in order, ((e0 + e1) + e2) + ...: the class sums' fixed order,
+    which a reduce over the class axis need not keep."""
+    return functools.reduce(operator.add, [e[..., c] for c in range(e.shape[-1])])
+
+
+@contextlib.contextmanager
+def eval_rows_patched(eval_rows: int):
+    """fedsim.model.EVAL_ROWS set to eval_rows. Yields a list that gains, for every model
+    pass made meanwhile (model._logits), the row counts of the blocks it ran through the
+    layers (model._run_layers), in order."""
+    passes = []
+    real_logits, real_run_layers = fedsim.model._logits, fedsim.model._run_layers
+
+    def logits(*args):
+        passes.append([])
+        return real_logits(*args)
+
+    def run_layers(spec, layers, biases, a, out):
+        passes[-1].append(len(a))
+        return real_run_layers(spec, layers, biases, a, out)
+
+    with mock.patch.multiple(fedsim.model, EVAL_ROWS=eval_rows, _logits=logits, _run_layers=run_layers):
+        yield passes
 
 
 def brute_force_operating_point(scores, labels, durations, targets):

@@ -28,12 +28,14 @@ from fedsim import (
     score_examples,
     synthesize_federation,
 )
-from fedsim.evaluation import eval_segments, operating_points, row_blocks
-from fedsim.server import cohort_loss, pool_loss
+from fedsim.evaluation import eval_segments, operating_points
+from fedsim.model import row_blocks
+from fedsim.server import cohort_loss
 
 from conftest import (
     LabeledExample,
     brute_force_operating_point,
+    eval_rows_patched,
     forward,
     left_to_right_sum,
     make_federation,
@@ -199,9 +201,9 @@ class TestFederatedEval:
     def test_skipped_users_are_not_scored(self, monkeypatch, caplog):
         scored_rows = []
 
-        def recording_score_examples(spec, w, X):
-            scored_rows.append(X.copy())
-            return score_examples(spec, w, X)
+        def recording_score_examples(spec, w, X, rows=None):
+            scored_rows.append(X[rows].copy())
+            return score_examples(spec, w, X, rows)
 
         monkeypatch.setattr(fedsim.evaluation, "score_examples", recording_score_examples)
         only_neg = [LabeledExample(np.array([0.0]), 0, 1.0) for _ in range(4)]
@@ -210,9 +212,9 @@ class TestFederatedEval:
         fed = make_federation({**two_user_partitions(), 3: only_neg, 4: only_pos, 5: no_neg_time})
         with caplog.at_level(logging.INFO, logger="fedsim.evaluation"):
             metric = federated_eval(SPEC_1D, W_1D, fed, [5, 4, 3, 2, 1], EvalTargets())
-        # exactly the usable users' 40 rows, in ascending user id
+        # exactly the usable users' 40 rows, in ascending user id, in one call
         usable_rows = fed.X[fed.rows([1, 2])[0]]
-        assert np.array_equal(np.concatenate(scored_rows), usable_rows)
+        assert len(scored_rows) == 1 and np.array_equal(scored_rows[0], usable_rows)
         assert metric == pytest.approx(0.625, abs=1e-15)
         assert "skipped 3 user(s) without both classes: [3, 4, 5]" in caplog.text
 
@@ -387,7 +389,9 @@ class TestSegmentedRecall:
         user_rows = [federation.rows([uid])[0] for uid in range(len(users))]
         targets = EvalTargets(fah_budget=budget)
         ids = list(range(len(users)))[::-1]
-        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
+        n = len(federation.y)
+        eval_rows = min(eval_rows, max(1, n - 2))  # so a pass over every row cuts two blocks, where 3 or more
+        with eval_rows_patched(eval_rows) as passes:
             if any(usable(federation.y[rows], federation.duration[rows]) for rows in user_rows):
                 got = federated_eval(SPEC_1D, W_1D, federation, ids, targets)
                 assert got == per_user_federated_eval(SPEC_1D, W_1D, federation, ids, targets)
@@ -397,21 +401,23 @@ class TestSegmentedRecall:
             # the pooled leg: the pool's recall as the brute-force search finds it on the pooled rows
             rows = np.concatenate(user_rows)
             X, y, duration = federation.X[rows], federation.y[rows], federation.duration[rows]
+            scores = score_examples(SPEC_1D, W_1D, X)
             if usable(y, duration):
-                expected = brute_force_operating_point(score_examples(SPEC_1D, W_1D, X), y, duration, targets)[1]
+                expected = brute_force_operating_point(scores, y, duration, targets)[1]
                 assert pooled_eval(SPEC_1D, W_1D, federation, ids, targets) == expected
             else:
                 with pytest.raises(EvaluationError):
                     pooled_eval(SPEC_1D, W_1D, federation, ids, targets)
+        assert max(map(len, passes)) >= 2 or n < 3
 
     @given(n=st.integers(0, 120), eval_rows=st.integers(2, 20))
     @settings(max_examples=100, deadline=None)
     def test_row_blocks_are_fixed_blocks_in_order(self, n, eval_rows):
-        rows = np.arange(3 * n).reshape(n, 3)  # any data along the rows
-        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
-            blocks = row_blocks(rows)
-        assert np.array_equal(np.concatenate(blocks), rows)
+        with mock.patch.object(fedsim.model, "EVAL_ROWS", eval_rows):
+            blocks = [range(n)[block] for block in row_blocks(n)]
+        assert [i for block in blocks for i in block] == list(range(n))
         assert [len(b) for b in blocks[:-1]] == [eval_rows] * (len(blocks) - 1)
+        assert (len(blocks) >= 2) == (n >= eval_rows + 2)
         if n < 2:  # too short for a block without a one-row pass
             assert len(blocks) == 1
         else:
@@ -463,8 +469,8 @@ class TestSegmentedRecall:
 class TestChunkedPasses:
     """federated_eval and the cohort loss do not depend on EVAL_ROWS; on
     [10, 2] federated_eval equals the one-pass-per-user result bit for bit,
-    the cohort loss pool_loss of its rows gathered in ascending user id, and
-    pool_loss a pool's one-pass loss."""
+    the cohort loss loss_from_arrays of its rows gathered in ascending user id,
+    and loss_from_arrays a pool's one-pass loss."""
 
     @staticmethod
     def setting(layer_dims, seed):
@@ -484,7 +490,7 @@ class TestChunkedPasses:
                          for rows in user_rows))
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_bit_identical_on_linear_model(self, monkeypatch, seed):
+    def test_bit_identical_on_linear_model(self, seed):
         # a one-row user's row shares a gemm pass with other users' rows, where
         # alone it would go through gemv; so the cohort loss is held to one pass
         # over the gathered rows, not to one pass per user
@@ -494,13 +500,15 @@ class TestChunkedPasses:
         targets = EvalTargets(fah_budget=200.0)
         results = []
         for eval_rows in (2, 64, 512, 10**9):
-            monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-            loss = cohort_loss(spec, w, federation, users[::-1])
-            assert loss == pool_loss(spec, w, X, y)
-            results.append((federated_eval(spec, w, federation, users, targets), loss))
+            with eval_rows_patched(eval_rows) as passes:
+                loss = cohort_loss(spec, w, federation, users[::-1])
+                assert loss == loss_from_arrays(spec, w, X, y)
+                results.append((federated_eval(spec, w, federation, users, targets), loss))
+            # 10**9 is the one-pass reference: its passes are each one block
+            most = max(map(len, passes))
+            assert most == 1 if eval_rows == 10**9 else most >= 2
         assert results[0] == results[1] == results[2] == results[3]
         assert results[0][0] == per_user_federated_eval(spec, w, federation, users, targets)
-        assert results[0][1] == loss_from_arrays(spec, w, X, y)
 
     @given(picks=st.sets(st.integers(0, 149), min_size=1), eval_rows=st.sampled_from([1, 2, 64, 10**9]))
     @settings(max_examples=60, deadline=None)
@@ -509,21 +517,29 @@ class TestChunkedPasses:
         # losses, up to rounding; the setting's one-row users are among the picks
         federation, spec, w, users = self.setting((10, 16, 2), 5)
         cohort = [users[i] for i in sorted(picks, reverse=True)]
-        with mock.patch.object(fedsim.evaluation, "EVAL_ROWS", eval_rows):
+        n = federation.sizes(cohort).sum()
+        if eval_rows < 10**9:  # two blocks or more, where 3 rows or more; 10**9 is the one-pass case
+            eval_rows = min(eval_rows, max(1, n - 2))
+        with eval_rows_patched(eval_rows) as passes:
             loss = cohort_loss(spec, w, federation, cohort)
+        [blocks] = passes
+        assert len(blocks) == 1 if eval_rows == 10**9 else len(blocks) >= 2 or n < 3
         reference = self.per_user_cohort_loss(spec, w, federation, cohort)
         assert loss == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("eval_rows", [1, 64, 512])
     @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 16, 2)])
-    def test_pool_loss_is_the_gathered_pools_loss(self, monkeypatch, layer_dims, eval_rows):
-        # the baseline's train loss: the mean of the chunked row losses of a pool
+    def test_blocked_loss_is_the_one_pass_loss(self, layer_dims, eval_rows):
+        # the baseline's train loss: the mean of the blocked row losses of a pool
         federation, spec, w, users = self.setting(layer_dims, 6)
         rows = federation.rows(users)[0]
-        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
         X, y = federation.X[rows], federation.y[rows]
-        got = pool_loss(spec, w, X, y)
-        expected = loss_from_arrays(spec, w, X, y)
+        with eval_rows_patched(eval_rows) as passes:
+            got = loss_from_arrays(spec, w, X, y)
+        assert len(passes) == 1 and len(passes[0]) >= 2
+        with eval_rows_patched(len(y)) as passes:
+            expected = loss_from_arrays(spec, w, X, y)
+        assert passes == [[len(y)]]
         if len(layer_dims) == 2:
             assert got == expected
         else:  # a hidden layer's matmul rounds by the run's row count
@@ -532,8 +548,8 @@ class TestChunkedPasses:
 
 class TestPooledBlocks:
     """Pooled and federated scoring and the cohort loss pass their rows through
-    the model in EVAL_ROWS blocks, a one-row tail joining the block before it,
-    with results that do not depend on EVAL_ROWS."""
+    the layers in one pass of EVAL_ROWS blocks, a one-row tail joining the block
+    before it, with results that do not depend on EVAL_ROWS."""
 
     @staticmethod
     def setting(seed, layer_dims=(10, 2)):
@@ -545,7 +561,7 @@ class TestPooledBlocks:
 
     @pytest.mark.parametrize("eval_rows", [64, "tail"])
     @pytest.mark.parametrize("caller", ["pooled", "federated", "cohort"])
-    def test_no_pass_exceeds_a_block_and_a_row(self, monkeypatch, caller, eval_rows):
+    def test_no_pass_exceeds_a_block_and_a_row(self, caller, eval_rows):
         federation, spec, users = self.setting(1)
         # the rows the caller passes: every user's, or its scored segments' (federated: usable users')
         if caller == "cohort":
@@ -554,25 +570,19 @@ class TestPooledBlocks:
             rows = eval_segments(federation, users, caller == "pooled")[0]
         # "tail": blocks of (rows - 1) / 2 rows leave a one-row tail
         eval_rows = (len(rows) - 1) // 2 if eval_rows == "tail" else eval_rows
-        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-        name = "row_losses" if caller == "cohort" else "batch_probs"
-        real, passes = getattr(fedsim.model, name), []
-
-        def counting(spec, w, X, *y):
-            passes.append(len(X))
-            return real(spec, w, X, *y)
-
-        monkeypatch.setattr(fedsim.model, name, counting)
         w = np.zeros(spec.param_count)
-        if caller == "cohort":
-            cohort_loss(spec, w, federation, users)
-        else:
-            (pooled_eval if caller == "pooled" else federated_eval)(spec, w, federation, users, EvalTargets())
-        assert sum(passes) == len(rows) and len(passes) > 1
-        assert passes[:-1] == [eval_rows] * (len(passes) - 1) and 2 <= passes[-1] <= eval_rows + 1
+        with eval_rows_patched(eval_rows) as passes:
+            if caller == "cohort":
+                cohort_loss(spec, w, federation, users)
+            else:
+                (pooled_eval if caller == "pooled" else federated_eval)(spec, w, federation, users, EvalTargets())
+        # one pass, whose products take whole blocks and a tail of two rows or more
+        [blocks] = passes
+        assert sum(blocks) == len(rows) and len(blocks) > 1
+        assert blocks[:-1] == [eval_rows] * (len(blocks) - 1) and 2 <= blocks[-1] <= eval_rows + 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_bit_identical_for_any_block_size(self, monkeypatch, seed):
+    def test_bit_identical_for_any_block_size(self, seed):
         rng = np.random.default_rng(seed)
         targets = EvalTargets(fah_budget=50.0)
         for layer_dims in ((10, 2), (10, 16, 2)):
@@ -581,10 +591,13 @@ class TestPooledBlocks:
                 w = rng.standard_normal(spec.param_count)
                 results = []
                 for eval_rows in (64, 512, 10**9):
-                    monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
-                    results.append((pooled_eval(spec, w, federation, users, targets),
-                                    federated_eval(spec, w, federation, users, targets),
-                                    cohort_loss(spec, w, federation, users)))
+                    with eval_rows_patched(eval_rows) as passes:
+                        results.append((pooled_eval(spec, w, federation, users, targets),
+                                        federated_eval(spec, w, federation, users, targets),
+                                        cohort_loss(spec, w, federation, users)))
+                    # 10**9 is the one-pass reference: its passes are each one block
+                    most = max(map(len, passes))
+                    assert most == 1 if eval_rows == 10**9 else most >= 2
                 assert results[0] == results[1] == results[2], layer_dims
 
 

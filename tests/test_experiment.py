@@ -654,23 +654,36 @@ class TestRunBaseline:
         assert result.report["pooled_examples"] == federation.sizes(train).sum()
 
     def test_train_loss_runs_are_bounded(self, monkeypatch):
-        # the train pool spans several EVAL_ROWS blocks; every loss pass takes one, a short tail joining the last
+        # the train pool spans several EVAL_ROWS blocks; every loss pass takes them in turn, a short tail
+        # joining the last
         raw = self._raw("central_sgd", max_rounds=3)
         raw["federation"]["synthesize"]["user_count"] = 400
         cfg = config_from_dict(raw)
-        real, counts = model_ops.row_losses, []
+        real_loss, real_run_layers, losses, running = model_ops.loss_from_arrays, model_ops._run_layers, [], []
 
-        def counted(spec, w, X, y):
-            counts.append(len(y))
-            return real(spec, w, X, y)
+        def counted_loss(spec, w, X, y):
+            losses.append((len(y), []))
+            running.append(losses[-1][1])
+            try:
+                return real_loss(spec, w, X, y)
+            finally:
+                running.pop()
 
-        monkeypatch.setattr(model_ops, "row_losses", counted)
+        def counted_run_layers(spec, layers, biases, a, out):
+            if running:  # the blocks of a loss pass, not of scoring
+                running[-1].append(len(a))
+            return real_run_layers(spec, layers, biases, a, out)
+
+        monkeypatch.setattr(model_ops, "loss_from_arrays", counted_loss)
+        monkeypatch.setattr(model_ops, "_run_layers", counted_run_layers)
         result = run_baseline(cfg)
         federation, train, _, _, _ = _prepare(cfg)
-        sizes = federation.sizes(train)
-        assert sizes.sum() > 4 * fedsim.evaluation.EVAL_ROWS
-        assert sum(counts) == len(result.metrics) * sizes.sum()  # every train row, once per row written
-        assert all(2 <= count <= fedsim.evaluation.EVAL_ROWS + 1 for count in counts)
+        pool, most = federation.sizes(train).sum(), model_ops.EVAL_ROWS
+        assert pool > 4 * most
+        assert len(losses) == len(result.metrics)  # every train row, once per row written
+        for rows, blocks in losses:
+            assert rows == sum(blocks) == pool
+            assert blocks[:-1] == [most] * (len(blocks) - 1) and 2 <= blocks[-1] <= most + 1
 
     def test_adam_converges_faster_than_sgd(self):
         adam = run_baseline(config_from_dict(self._raw("central_adam")))

@@ -1,26 +1,32 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.model
 from fedsim import (
     ConfigError,
     ModelSpec,
     gradient_from_arrays,
     loss_from_arrays,
+    score_examples,
     xavier_init,
 )
-from fedsim.model import _layer_views, batch_probs, row_losses
+from fedsim.model import ACTIVATIONS, _class_sum, _forward_cached, _layer_views, batch_probs, row_losses
 
 from conftest import (
     LabeledExample,
+    eval_rows_patched,
     finite_difference_check,
     forward,
     gaussian_batch,
+    left_to_right_class_sum,
     reference_gradient,
     stack,
 )
@@ -41,16 +47,17 @@ def concat(*batches):
 
 
 def reference_log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Reference for `row_losses`: log-softmax with the row max and the sum
-    reduced along the class axis."""
+    """Reference for `row_losses`: log-softmax with the row max reduced along the
+    class axis and the exponentials' sum taken left to right."""
     m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return logits - m - np.log(left_to_right_class_sum(np.exp(logits - m)))[..., None]
 
 
 def reference_softmax(logits: np.ndarray) -> np.ndarray:
-    """Reference for `batch_probs`: softmax with the row max reduced along the class axis."""
+    """Reference for `batch_probs`: softmax with the row max reduced along the class
+    axis and the exponentials' sum taken left to right."""
     e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= left_to_right_class_sum(e)[..., None]
     return e
 
 
@@ -288,8 +295,9 @@ class TestGradient:
 
 
 class TestSoftmaxFamily:
-    """`row_losses` and `batch_probs` take the row max column by column; they
-    must equal the class-axis reductions bit for bit."""
+    """`row_losses` and `batch_probs` take the row max and the exponentials' sum
+    column by column; they must equal a class-axis max and a left-to-right sum
+    bit for bit."""
 
     @given(
         classes=st.integers(min_value=2, max_value=5),
@@ -297,7 +305,7 @@ class TestSoftmaxFamily:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_class_axis_reductions(self, classes, n, seed):
+    def test_bit_identical_to_class_axis_max_and_left_to_right_sum(self, classes, n, seed):
         # an identity layer passes X through as the logits: ties (0.0, -0.0,
         # small integers) and magnitudes up to 700 in every column
         spec = ModelSpec((classes, classes))
@@ -311,6 +319,96 @@ class TestSoftmaxFamily:
         expected_losses = -reference_log_softmax(logits)[np.arange(n), y]
         assert row_losses(spec, w, X, y).tobytes() == expected_losses.tobytes()
         assert batch_probs(spec, w, X).tobytes() == reference_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("classes", range(2, 13))
+    def test_class_sum_adds_left_to_right(self, classes):
+        # magnitudes 1e-8 to 1e8, so the order of the adds shows in the bits
+        rng = np.random.default_rng(classes)
+        e = rng.uniform(0.0, 1.0, (240, classes)) * 10.0 ** rng.integers(-8, 9, (240, classes))
+        expected = np.array([functools.reduce(operator.add, row) for row in e.tolist()])
+        assert _class_sum(e).tobytes() == expected.tobytes()
+        # a stack of batches, as the gradient takes them
+        assert _class_sum(e.reshape(4, 60, classes)).tobytes() == expected.reshape(4, 60).tobytes()
+        if classes == 2:
+            assert _class_sum(e).tobytes() == np.add.reduce(e, axis=-1).tobytes()
+
+
+def per_block_reference(spec, w, X, rows, eval_rows):
+    """(logits, probabilities, row losses) of the rows of X, or of X[rows], as the
+    model took them before it had one pass: blocks of eval_rows rows, a one-row
+    tail joining the block before it, each block gathered and run through
+    _forward_cached, with its own softmax and log-softmax."""
+    n = len(X) if rows is None else len(rows)
+    taken = np.arange(n) if rows is None else rows
+    y = (np.arange(n) * 7) % spec.class_count
+    logits, probs, losses = [], [], []
+    for idx in np.split(np.arange(n), range(eval_rows, n - 1, eval_rows)):
+        block_logits, _ = _forward_cached(spec, _layer_views(spec, w), X[taken[idx]])
+        logits.append(block_logits)
+        probs.append(reference_softmax(block_logits))
+        losses.append(-reference_log_softmax(block_logits)[np.arange(len(idx)), y[idx]])
+    return y, np.concatenate(logits), np.concatenate(probs), np.concatenate(losses)
+
+
+class TestOnePass:
+    """`_logits` runs the layers on EVAL_ROWS blocks of the rows, and `batch_probs`
+    and `row_losses` take their softmax over its whole result: bit for bit the
+    per-block passes, whatever the row count."""
+
+    @given(
+        n=st.integers(0, 1100),
+        eval_rows=st.sampled_from([2, 3, 64, 512]),
+        layer_dims=st.sampled_from([(10, 2), (10, 32, 2), (6, 8, 3)]),
+        activation=st.sampled_from(ACTIVATIONS),
+        gathered=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_block_reference(self, n, eval_rows, layer_dims, activation, gathered, seed):
+        spec = ModelSpec(layer_dims, activation=activation)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(spec.param_count)
+        # an index array may repeat rows and leave some out
+        X = rng.standard_normal((n + 5 if gathered else n, spec.feature_dim)) * 3.0
+        rows = rng.integers(0, len(X), size=n) if gathered else None
+        y, logits, probs, losses = per_block_reference(spec, w, X, rows, eval_rows)
+        taken = X if rows is None else X[rows]
+        with eval_rows_patched(eval_rows) as passes:
+            assert fedsim.model._logits(spec, w, X, rows).tobytes() == logits.tobytes()
+            assert batch_probs(spec, w, X, rows).tobytes() == probs.tobytes()
+            assert row_losses(spec, w, taken, y).tobytes() == losses.tobytes()
+        blocks = [len(idx) for idx in np.split(np.arange(n), range(eval_rows, n - 1, eval_rows))]
+        assert passes == [blocks] * 3
+
+    @pytest.mark.parametrize("layer_dims", [(4, 3), (4, 5, 2)])
+    def test_zero_rows_give_empty_results(self, layer_dims):
+        spec = ModelSpec(layer_dims)
+        w = np.random.default_rng(1).standard_normal(spec.param_count)
+        X = np.zeros((0, 4))
+        assert batch_probs(spec, w, X).shape == (0, spec.class_count)
+        assert batch_probs(spec, w, np.ones((3, 4)), np.zeros(0, dtype=np.intp)).shape == (0, spec.class_count)
+        assert score_examples(spec, w, X).shape == (0,)
+        assert row_losses(spec, w, X, np.zeros(0, dtype=np.intp)).shape == (0,)
+        with pytest.raises(ValueError):  # a wrong feature dim is still caught, as by the product
+            batch_probs(spec, w, np.zeros((0, 5)))
+
+    @pytest.mark.parametrize("layer_dims", [(4, 3), (4, 5, 2)])
+    @pytest.mark.parametrize("gathered", [False, True])
+    def test_one_row_takes_one_gemv_pass(self, layer_dims, gathered):
+        # a one-row product goes through gemv, as _forward_cached on that one row does
+        spec = ModelSpec(layer_dims)
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal(spec.param_count)
+        X = rng.standard_normal((3 if gathered else 1, 4))
+        rows = np.array([2]) if gathered else None
+        one = X[2:3] if gathered else X
+        expected, _ = _forward_cached(spec, _layer_views(spec, w), one)
+        with eval_rows_patched(fedsim.model.EVAL_ROWS) as passes:
+            probs = batch_probs(spec, w, X, rows)
+            losses = row_losses(spec, w, one, np.array([1]))
+        assert passes == [[1], [1]]
+        assert probs.tobytes() == reference_softmax(expected).tobytes()
+        assert losses.tobytes() == (-reference_log_softmax(expected)[:, 1]).tobytes()
 
 
 class TestFiniteDifferenceCheck:

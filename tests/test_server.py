@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import fedsim.evaluation
+import fedsim.model
 import fedsim.server
 from fedsim import (
     AveragingKind,
@@ -74,11 +74,11 @@ class TestSelectClients:
         assert len(set(a)) == len(a) == 15
         assert set(a) <= set(ids)
 
-    def test_invalid_participation_rejected(self):
-        with pytest.raises(ConfigError):
-            select_clients([1, 2], 0.0, round_seed=0)
-        with pytest.raises(ConfigError):
-            select_clients([1, 2], 1.5, round_seed=0)
+    @pytest.mark.parametrize("participation", [0.0, -0.1, 1.5, 2.0])
+    def test_invalid_participation_rejected(self, participation):
+        # select_clients and upload_cost_bytes take the participation that RoundConfig checked
+        with pytest.raises(ConfigError, match=r"^participation ratio must lie in \(0, 1\]$"):
+            RoundConfig(model=ModelSpec((2, 2)), participation=participation)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -294,8 +294,6 @@ class TestUploadCost:
     def test_invalid_args_rejected(self):
         with pytest.raises(ConfigError):
             upload_cost_bytes(0, 0.1, 10)
-        with pytest.raises(ConfigError):
-            upload_cost_bytes(100, 0.0, 10)
         with pytest.raises(ConfigError):
             upload_cost_bytes(100, 0.1, -1)
 
@@ -529,14 +527,15 @@ class TestStackedOneStepRounds:
     @pytest.mark.parametrize("participation", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 32, 2), (6, 8, 3)])
     def test_equals_per_client_rounds_bitwise(self, monkeypatch, layer_dims, participation, eval_rows):
-        # EVAL_ROWS 16 cuts a cohort into several blocks
-        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        # EVAL_ROWS 16 cuts a cohort into several blocks; 512, each of these cohorts into one
+        monkeypatch.setattr(fedsim.model, "EVAL_ROWS", eval_rows)
         federation, spec = one_row_federation(layer_dims, seed=len(layer_dims)), ModelSpec(layer_dims)
         batch = None if participation < 1.0 else 64  # a batch that covers every partition is one step too
         cfg = RoundConfig(model=spec, local=LocalTrainingConfig(epochs=1, batch_size=batch, eta_local=0.3),
                           strategy=AveragingStrategy.adam(0.01), participation=participation)
-        calls = []
+        calls, blocks, real = [], [], fedsim.server.train_one_step
         monkeypatch.setattr(fedsim.server, "train_local", lambda *args: calls.append(args))
+        monkeypatch.setattr(fedsim.server, "train_one_step", lambda *args: blocks.append(args) or real(*args))
         users = federation.user_ids.tolist()
         stacked = reference = ServerState.initial(xavier_init(spec, 1))
         for t in range(1, 4):
@@ -546,12 +545,13 @@ class TestStackedOneStepRounds:
                 assert getattr(stacked, name).tobytes() == getattr(reference, name).tobytes()
             assert record == expected
         assert calls == []
+        assert len(blocks) > 3 if eval_rows == 16 else len(blocks) == 3  # three rounds
 
     @pytest.mark.parametrize("eval_rows", [4, 512])
     @pytest.mark.parametrize("errstate", [{"all": "ignore"}, {"over": "raise", "invalid": "raise"}])
     def test_divergence_names_the_first_diverged_user(self, monkeypatch, eval_rows, errstate):
         # users 5 and 11 hold features that overflow the logits; the other users' steps stay finite
-        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", eval_rows)
+        monkeypatch.setattr(fedsim.model, "EVAL_ROWS", eval_rows)
         federation, spec = one_row_federation((3, 2), seed=2), ModelSpec((3, 2))
         X = federation.X.copy()
         for u in (11, 5):
@@ -560,10 +560,14 @@ class TestStackedOneStepRounds:
         federation = Federation(X, federation.y, federation.duration, federation.user_ids, federation.offsets, 2)
         cfg = RoundConfig(model=spec, local=LocalTrainingConfig(), participation=1.0)
         state = ServerState.initial(xavier_init(spec, 1))
+        real, blocks = fedsim.server.train_one_step, []
+        monkeypatch.setattr(fedsim.server, "train_one_step", lambda *args: blocks.append(args) or real(*args))
         with np.errstate(**errstate), pytest.raises(
             FloatingPointError, match=r"^round 1: diverged; user 5: local training diverged$"
         ):
             run_round(state, federation, federation.user_ids.tolist(), cfg, round_seed=3)
+        # EVAL_ROWS 4 cuts the clients before user 5 from its block; 512 trains them all in one
+        assert len(blocks) >= 2 if eval_rows == 4 else len(blocks) == 1
 
     def test_a_client_with_two_steps_sends_every_client_through_train_local(self, monkeypatch):
         federation, spec = one_row_federation((3, 2), seed=4), ModelSpec((3, 2))
@@ -599,7 +603,7 @@ class TestStackedOneStepRounds:
     @pytest.mark.parametrize("layer_dims", [(10, 2), (10, 32, 2)])
     def test_a_block_holds_one_run_of_at_most_eval_rows_squared_floats(self, monkeypatch, layer_dims):
         # one-row clients: the row cut alone would stack up to EVAL_ROWS of them
-        monkeypatch.setattr(fedsim.evaluation, "EVAL_ROWS", 16)
+        monkeypatch.setattr(fedsim.model, "EVAL_ROWS", 16)
         spec = ModelSpec(layer_dims)
         federation = synthesize_federation(FederationSpec(user_count=90, size_mean=1.0, size_std=0.0), seed=1)
         real, blocks = fedsim.server.train_one_step, []
