@@ -17,6 +17,7 @@ from itertools import islice, pairwise
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, FederationFormatError, check_fields
 
@@ -85,14 +86,6 @@ class Federation:
     @property
     def feature_dim(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def user_count(self) -> int:
-        return len(self.user_ids)
-
-    @property
-    def total_examples(self) -> int:
-        return len(self.y)
 
     def segments(self, user_ids) -> np.ndarray:
         """Segment index k of each given user id, in the order given."""
@@ -312,8 +305,8 @@ def _parse_record(raw: str, line_no: int, feature_dim: int, class_count: int) ->
     return user_id, features, label, duration
 
 
-# Nonblank lines load_federation decodes per json.loads call: 128 to 1024 load equally
-# fast (2 vCPU), and one decode of a whole 5.4 MB file raised peak RSS from 38 to 61 MB.
+# Nonblank lines load_federation decodes per orjson.loads call: 128 to 1024 load equally fast
+# (2 vCPU, json or orjson), and one json decode of a whole 5.4 MB file raised peak RSS from 38 to 61 MB.
 LOAD_BLOCK_LINES = 512
 
 
@@ -396,8 +389,8 @@ def load_federation(path: str | Path) -> Federation:
 
     Records of one user must be contiguous; a user id reappearing after its
     run ended is rejected as a duplicate. Nonblank lines are decoded
-    LOAD_BLOCK_LINES at a time and checked as arrays, Federation checking
-    ranges and user runs; on any defect, _load_lines reruns to name it.
+    LOAD_BLOCK_LINES at a time by orjson and checked as text and arrays, Federation
+    checking ranges and user runs; on any defect, _load_lines reruns to name it.
     """
     path = Path(path)
     try:
@@ -405,14 +398,18 @@ def load_federation(path: str | Path) -> Federation:
             lines, blocks = (line for line in fh if not line.isspace()), []
             while block := list(islice(lines, LOAD_BLOCK_LINES)):
                 text, n = "[" + ",".join(block) + "]", len(block)
-                records = json.loads(text)
-                duration, X, y, uid = (np.array([r[key] for r in records]) for key in sorted(_RECORD_KEYS))
-                # One record a line: one object whose only strings are its four keys
-                # (8 quotes), without booleans, which np.array takes as 0 and 1;
-                # np.isfinite raises TypeError on what is not a number.
+                # One record a line: one object whose only strings are its four keys (8 quotes)
+                # and whose only list is its features, without booleans, which np.array takes
+                # as 0 and 1. The text is checked first: orjson has no nesting limit, and a
+                # line of 200,000 '[' overflowed its stack (a crash, not an exception).
                 if not (all(s[0] == "{" and s[-1] == "}" for s in (raw.strip(" \t\r\n") for raw in block))
-                        and text.count('"') == 8 * n and "true" not in text and "false" not in text
-                        and uid.dtype == y.dtype == np.intp and X.shape == (n, feature_dim)
+                        and text.count('"') == 8 * n and text.count("[") == n + 1
+                        and "true" not in text and "false" not in text):
+                    raise ValueError
+                records = orjson.loads(text)  # NaN, infinities and lone surrogates raise a ValueError
+                duration, X, y, uid = (np.array([r[key] for r in records]) for key in sorted(_RECORD_KEYS))
+                # np.isfinite raises TypeError on what is not a number
+                if not (uid.dtype == y.dtype == np.intp and X.shape == (n, feature_dim)
                         and np.isfinite(X).all() and np.isfinite(duration).all()):
                     raise ValueError
                 blocks.append((uid, X, y, duration))
@@ -420,5 +417,5 @@ def load_federation(path: str | Path) -> Federation:
         uid, X, y, duration = (np.concatenate(column) for column in zip(*blocks))
         starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
         return Federation(X, y, duration, uid[starts], np.append(starts, len(uid)), class_count)
-    except (ValueError, TypeError, KeyError, RecursionError):
+    except (ValueError, TypeError, KeyError):
         return _load_lines(path)

@@ -26,8 +26,9 @@ type_hints = functools.cache(typing.get_type_hints)
 
 def check_fields(config) -> None:
     """Check each field of a config dataclass as it is built, from Python or JSON alike, naming the field, and
-    store it converted: an int is an integer, not a bool; a float, a finite real; an Enum, one of its values,
-    as the member; a Path, a str or path; a config dataclass, an instance of it; X | None may also be None."""
+    store it converted: an int is an integer in int64's range, not a bool; a float, a finite real; an Enum, one
+    of its values, as the member; a Path, a str or path; a config dataclass, an instance of it; X | None may also
+    be None."""
     for name, kind in type_hints(type(config)).items():
         value = getattr(config, name)
         if isinstance(kind, types.UnionType):  # X | None
@@ -36,6 +37,8 @@ def check_fields(config) -> None:
             if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             value = int(value)
+            if not -(2**63) <= value < 2**63:  # counts and sizes meet numpy's int64 arrays
+                raise ConfigError(f"{name} must lie in int64's range, got {value!r}")
         elif kind is float:
             # the range test is false for NaN, the infinities and integers too large for a float
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:

@@ -388,6 +388,19 @@ def test_verbose_logs_one_line_per_evaluation(config_file, caplog):
         assert re.fullmatch(rf"round {t}: dev_metric={float(metric):.6f}, \d+\.\d{{3}} s elapsed", line)
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+@pytest.mark.parametrize("field", ["batch_size", "epochs"])
+def test_int_field_outside_int64_fails_with_one_line_naming_it(config_file, capsys, field, value):
+    # 2**63 once met an int64 array in client.local_step_count and ended in an OverflowError traceback
+    path, _ = config_file
+    raw = json.loads(path.read_text())
+    raw["local"][field] = value
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and field in err, err
+
+
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -267,7 +267,7 @@ class TestClientLocality:
         spec = ModelSpec((4, 6, 2))
         made = synthesize_federation(FederationSpec(user_count=40, size_mean=4.0, size_std=3.0, feature_dim=4), 5)
         # ids out of order and not 0..K-1, so a segment index is never mistaken for a user id
-        ids = np.random.default_rng(epochs).permutation(made.user_count) * 3 + 100
+        ids = np.random.default_rng(epochs).permutation(len(made.user_ids)) * 3 + 100
         federation = Federation(made.X, made.y, made.duration, ids, made.offsets, made.class_count)
         w0 = xavier_init(spec, 2)
         cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.3)

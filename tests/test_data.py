@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import importlib.util
 import itertools
 import json
@@ -8,8 +9,9 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fedsim.data
@@ -100,7 +102,7 @@ class TestSynthesize:
     def test_rows_span_several_blocks_bit_for_bit(self):
         spec = FederationSpec(user_count=300, size_mean=20.0, size_std=15.0, class_count=3, feature_dim=5)
         fed = synthesize_federation(spec, seed=5)
-        assert fed.total_examples > 3 * fedsim.data.SYNTH_BLOCK_ROWS
+        assert len(fed.y) > 3 * fedsim.data.SYNTH_BLOCK_ROWS
         assert column_bytes(fed) == column_bytes(reference_synthesize(spec, seed=5))
 
     def test_peak_memory_at_paper_scale(self):
@@ -126,12 +128,12 @@ class TestSynthesize:
         assert 35.0 <= sizes.mean() <= 43.0
         assert 27.0 <= sizes.std() <= 37.0
         assert 0.16 <= np.mean(fed.y == POSITIVE_LABEL) <= 0.20
-        assert fed.user_count == len(sizes) == 1374
+        assert len(fed.user_ids) == len(sizes) == 1374
 
     def test_degenerate_spread_single_user(self):
         spec = FederationSpec(user_count=1, size_mean=39.0, size_std=0.0)
         fed = synthesize_federation(spec, seed=3)
-        assert fed.user_count == 1
+        assert len(fed.user_ids) == 1
         assert fed.sizes([0])[0] == 39
 
     def test_deterministic_and_seed_sensitive(self):
@@ -147,7 +149,7 @@ class TestSynthesize:
         fed = synthesize_federation(spec, seed=9)
         sizes = fed.sizes(fed.user_ids.tolist()).tolist()
         assert min(sizes) >= 1
-        assert sum(sizes) == fed.total_examples
+        assert sum(sizes) == len(fed.y)
 
     def test_durations(self):
         spec = FederationSpec(
@@ -527,6 +529,33 @@ def deep_nesting_after_a_boolean(header, records, rng):
     return lines
 
 
+def as_text(value, text):
+    """set_field(value), with value's JSON written as `text`, which json.dumps does not write."""
+
+    def defect(header, records, rng):
+        return [line.replace(json.dumps(value), text) for line in set_field(value)(header, records, rng)]
+
+    return defect
+
+
+def lone_surrogate_in_a_key(header, records, rng):
+    # json decodes the escape to a lone surrogate, and orjson raises on it
+    lines = render(header, records)
+    i = rng.integers(1, len(lines))
+    key = ["user_id", "features", "label", "duration_s"][rng.integers(4)]
+    lines[i] = lines[i].replace(f'"{key}"', f'"{key}\\ud800"')
+    return lines
+
+
+def nesting_past_the_decoders_stack(header, records, rng):
+    # orjson has no nesting limit: 200,000 '[' overflowed its stack, which ends the process;
+    # json.loads raises RecursionError
+    lines = render(header, records)
+    i = rng.integers(1, len(lines))
+    lines[i] = lines[i].replace("[", "[" * 10**6, 1).replace("]", "]" * 10**6, 1)
+    return lines
+
+
 DEFECTS = {
     "none": lambda header, records, rng: render(header, records),
     "true": set_field(True),
@@ -538,6 +567,13 @@ DEFECTS = {
     "negative_zero": set_field(-0.0),
     "two_to_63": set_field(2**63),
     "ten_to_400": set_field(10**400),
+    # orjson reads integers outside [-2**63, 2**64) as floats, where json keeps them exact
+    "ten_to_29": set_field(10**29),
+    "two_to_64": set_field(2**64),
+    "below_minus_two_to_63": set_field(-(2**63) - 1),
+    # json reads 1e309 as inf; orjson raises on it
+    "literal_1e309": as_text(1.25e-300, "1e309"),
+    "lone_surrogate_in_a_key": lone_surrogate_in_a_key,
     "nan": set_field(float("nan")),
     "infinity": set_field(float("inf")),
     "minus_infinity": set_field(float("-inf")),
@@ -558,6 +594,7 @@ DEFECTS = {
     "header_dim_mismatch": header_dim_mismatch,
     "header_split": header_split,
     "deep_nesting_after_a_boolean": deep_nesting_after_a_boolean,
+    "nesting_past_the_decoders_stack": nesting_past_the_decoders_stack,
 }
 
 
@@ -597,21 +634,43 @@ class TestBlockLoad:
             assert load_outcome(load_federation, path) == expected, repr(newline)
 
     def test_decodes_are_bounded(self, tmp_path, monkeypatch):
-        # a file of more than four blocks is never decoded more than one block at a time
+        # a file of more than four blocks is never decoded more than one block at a time;
+        # json decodes the header once, and orjson every record
         records = federation_records(np.random.default_rng(6), 120, 2, 2)
         assert len(records) > 4 * LOAD_BLOCK_LINES
         path = write_lines(tmp_path / "big.jsonl", render({"feature_dim": 2, "class_count": 2}, records))
-        real, counts = json.loads, []
+        counts = {"json": [], "orjson": []}
 
-        def counted(text, *args, **kwargs):
-            obj = real(text, *args, **kwargs)
-            counts.append(len(obj) if isinstance(obj, list) else 1)
-            return obj
+        def counting(module, name):
+            real = module.loads
 
-        monkeypatch.setattr(fedsim.data.json, "loads", counted)
+            def counted(text, *args, **kwargs):
+                obj = real(text, *args, **kwargs)
+                counts[name].append(len(obj) if isinstance(obj, list) else 1)
+                return obj
+
+            monkeypatch.setattr(module, "loads", counted)
+
+        counting(fedsim.data.json, "json")
+        counting(fedsim.data.orjson, "orjson")
         fed = load_federation(path)
-        assert fed.total_examples == len(records) == sum(counts) - 1  # the header is one decode
-        assert max(counts) == LOAD_BLOCK_LINES
+        assert counts["json"] == [1]
+        assert len(fed.y) == len(records) == sum(counts["orjson"])
+        assert max(counts["orjson"]) == LOAD_BLOCK_LINES
+
+    @given(bits=st.integers(0, 2**64 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_orjson_reads_float64_text_as_json_does(self, bits):
+        # the block decode and the per-line pass must give the same arrays, byte for byte: any finite
+        # float64 written three ways, and the exact decimal halfway to its upper neighbour, which is
+        # integer text from 2**53 on (json reads it as an int, orjson past 2**64 as a float)
+        x = np.uint64(bits).view(np.float64)
+        up = np.nextafter(x, np.inf)
+        assume(np.isfinite(x) and np.isfinite(up))
+        exact = decimal.Context(prec=2000)  # a float64's decimal has at most 767 significant digits
+        halfway = exact.divide(exact.add(decimal.Decimal(float(x)), decimal.Decimal(float(up))), 2)
+        for text in (repr(float(x)), "%.17g" % x, "%.25e" % x, str(halfway)):
+            assert repr(float(orjson.loads(text))) == repr(float(json.loads(text))), text
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_file_equals_per_line_loop(self, tmp_path, monkeypatch, seed):

@@ -138,6 +138,14 @@ def test_int_field_rejects_non_integers_from_python(cls, required, name):
     assert stored == 3 and type(stored) is int  # derive_seed and json.dumps refuse numpy's integers
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("cls,required,name", list(fields_of_type(int)))
+def test_int_field_outside_int64_rejected_from_python(cls, required, name, value):
+    # fedsim's counts and sizes become numpy int64 arrays, which such a value would overflow
+    with pytest.raises(ConfigError, match=rf"^{name} must lie in int64's range, got {int(value)}$"):
+        cls(**{**required, name: value})
+
+
 def test_numpy_integer_master_seed_runs_as_its_int(tmp_path):
     config = config_from_dict(base_raw(max_rounds=3, output_dir=str(tmp_path)))
     run_experiment(dataclasses.replace(config, master_seed=np.int64(7)))
@@ -208,7 +216,7 @@ def raw_configs(draw) -> dict:
         "participation": st.floats(0, 1, exclude_min=True) | st.just(1),
         "max_rounds": st.integers(1, 10**4),
         "targets": st.fixed_dictionaries({}, optional={"fah_budget": reals(1e-3, 1e3), "recall_target": reals(0, 1)}),
-        "master_seed": st.integers(0, 2**64),
+        "master_seed": st.integers(0, 2**63 - 1),  # int fields lie in int64's range
         "output_dir": st.none() | PATHS,
         "eval_every": st.integers(1, 50),
         "eval_mode": st.sampled_from(["federated", "pooled"]),
