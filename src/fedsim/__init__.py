@@ -17,14 +17,7 @@ from .data import (
     synthesize_federation,
 )
 from .errors import ConfigError, EvaluationError, FederationFormatError
-from .evaluation import (
-    EvalTargets,
-    OperatingPoint,
-    federated_eval,
-    operating_point,
-    pooled_eval,
-    score_examples,
-)
+from .evaluation import EvalTargets, federated_eval, pooled_eval, score_examples
 from .experiment import (
     BaselineMode,
     EvalMode,

@@ -53,20 +53,15 @@ def local_step_count(n_k: int | np.ndarray, batch_size: int | None, epochs: int)
 
 def epoch_batches(n: int, batch_size: int | None, *seed_parts) -> list[np.ndarray]:
     """Index arrays of one epoch's mini-batches over n examples: slices of
-    epoch_order(n, *seed_parts), the epoch last in seed_parts, and the final
-    partial batch as-is. A batch that covers every row is the rows in stored
-    order, and no seed is drawn.
+    default_rng(derive_seed(*seed_parts)).permutation(n), the epoch last in
+    seed_parts, and the final partial batch as-is. A batch that covers every
+    row is the rows in stored order, and no seed is drawn.
     """
     batch = n if batch_size is FULL_BATCH else batch_size
     if batch >= n:  # shuffling one whole batch would change only how the gradient's sums round
         return [np.arange(n)]
-    order = epoch_order(n, *seed_parts)
+    order = np.random.default_rng(derive_seed(*seed_parts)).permutation(n)
     return [order[start : start + batch] for start in range(0, n, batch)]
-
-
-def epoch_order(n: int, *seed_parts) -> np.ndarray:
-    """The shuffled order of n examples in the epoch that the seed parts, the epoch last, name."""
-    return np.random.default_rng(derive_seed(*seed_parts)).permutation(n)
 
 
 def train_local(
@@ -86,9 +81,7 @@ def train_local(
     rows = slice(federation.offsets[k], federation.offsets[k + 1])
     X, y = federation.X[rows], federation.y[rows]
     n = len(y)
-    w = np.array(w_start, dtype=np.float64, copy=True)
-    if w.shape != (spec.param_count,):
-        raise ValueError(f"weights have shape {w.shape}, expected ({spec.param_count},)")
+    w = model._check_params(spec, w_start).copy()
 
     # built once per update; the views of w stay valid because w changes only in place
     buffer = np.empty_like(w)

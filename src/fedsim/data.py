@@ -9,6 +9,7 @@ computable downstream.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from array import array
 from contextlib import contextmanager
@@ -75,14 +76,6 @@ class Federation:
             raise ValueError(f"user {uid}: label {y[row]} out of range or duration {duration[row]} negative")
         object.__setattr__(self, "_segment", {int(u): k for k, u in enumerate(user_ids)})
 
-    def __eq__(self, other):
-        if not isinstance(other, Federation):
-            return NotImplemented
-        return self.class_count == other.class_count and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("user_ids", "offsets", "y", "duration", "X")
-        )
-
     @property
     def feature_dim(self) -> int:
         return self.X.shape[1]
@@ -145,14 +138,21 @@ SYNTH_BLOCK_ROWS = 1024
 
 
 def _partition_sizes(spec: FederationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Heavy-tailed per-user sizes: log-normal fitted to (mean, std), clamped >= 1."""
+    """Heavy-tailed per-user sizes: log-normal fitted to (mean, std), rounded half to even, clamped >= 1.
+    ConfigError unless their total is below 2**63, as offsets and row indices need."""
     if spec.size_std == 0:
-        return np.full(spec.user_count, max(1, round(spec.size_mean)), dtype=np.intp)
-    ratio = spec.size_std / spec.size_mean
-    sigma2 = np.log1p(ratio * ratio)
-    mu = np.log(spec.size_mean) - 0.5 * sigma2
-    raw = rng.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=spec.user_count)
-    return np.maximum(np.rint(raw), 1.0).astype(np.intp)
+        raw = np.full(spec.user_count, spec.size_mean)
+    else:
+        ratio = spec.size_std / spec.size_mean
+        sigma2 = np.log1p(ratio * ratio)
+        mu = np.log(spec.size_mean) - 0.5 * sigma2
+        raw = rng.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=spec.user_count)
+    sizes = np.maximum(np.rint(raw), 1.0)
+    # fsum rounds the exact sum once, so it is below 1 only if the total is below 2**63; the scaling is exact,
+    # keeps the sum finite, and leaves an inf size inf
+    if not math.fsum((sizes * 2.0**-63).tolist()) < 1.0:
+        raise ConfigError(f"size_mean {spec.size_mean} and size_std {spec.size_std} give 2**63 or more examples")
+    return sizes.astype(np.intp)
 
 
 def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:

@@ -39,13 +39,6 @@ class EvalTargets:
             raise ConfigError("recall_target must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    tau: float
-    recall: float
-    fah: float
-
-
 def sequential_sum(values) -> float:
     """The floats added one by one, left to right. The builtin sum() of floats
     compensates its rounding from Python 3.12 on, so its bits depend on the version."""
@@ -58,14 +51,6 @@ def sequential_sum(values) -> float:
 def score_examples(spec: ModelSpec, w: np.ndarray, X: np.ndarray, rows=None) -> np.ndarray:
     """Positive-class probability of every row of X, or of X[rows], order preserved."""
     return model.batch_probs(spec, w, X, rows)[:, POSITIVE_LABEL]
-
-
-def operating_point(
-    scores: np.ndarray, labels: np.ndarray, durations: np.ndarray, targets: EvalTargets
-) -> OperatingPoint:
-    """The threshold maximizing recall subject to FAH <= budget: operating_points of one segment."""
-    tau, recall, fah = operating_points(scores, labels, durations, [len(scores)], targets)
-    return OperatingPoint(tau=tau.item(), recall=recall.item(), fah=fah.item())
 
 
 def operating_points(

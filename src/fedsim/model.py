@@ -73,7 +73,7 @@ def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.nd
 def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != spec.param_count:
-        raise ValueError(f"parameter vector has length {w.shape}, expected ({spec.param_count},)")
+        raise ValueError(f"parameter vector has shape {w.shape}, expected ({spec.param_count},)")
     return w
 
 

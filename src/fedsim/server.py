@@ -59,15 +59,6 @@ class AveragingStrategy:
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
 
-    @classmethod
-    def plain(cls, eta_global: float | None = None) -> "AveragingStrategy":
-        return cls(kind=AveragingKind.PLAIN, eta_global=eta_global)
-
-    @classmethod
-    def adam(cls, eta_global: float | None = None, **moments) -> "AveragingStrategy":
-        """Adam rule; beta1, beta2 and epsilon may be given by keyword."""
-        return cls(kind=AveragingKind.ADAM, eta_global=eta_global, **moments)
-
 
 @dataclass(frozen=True)
 class ServerState:
@@ -157,15 +148,11 @@ def pseudo_gradient(w_prev: np.ndarray, sizes, client_weights) -> np.ndarray:
 
 def apply_plain(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingStrategy) -> ServerState:
     """w <- w - eta_global * G; moments untouched."""
-    if pseudo_grad.shape != state.weights.shape:
-        raise ValueError("pseudo-gradient shape does not match server weights")
     return replace(state, weights=state.weights - strategy.eta_global * pseudo_grad, round=state.round + 1)
 
 
 def apply_adam(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingStrategy) -> ServerState:
     """Bias-corrected Adam step on the pseudo-gradient; moments persist across rounds."""
-    if pseudo_grad.shape != state.weights.shape:
-        raise ValueError("pseudo-gradient shape does not match server weights")
     step = state.round + 1
     m = strategy.beta1 * state.m + (1.0 - strategy.beta1) * pseudo_grad
     v = strategy.beta2 * state.v + (1.0 - strategy.beta2) * pseudo_grad * pseudo_grad

@@ -12,6 +12,7 @@ import pytest
 
 import fedsim.model
 from fedsim import POSITIVE_LABEL, Federation, ModelSpec, gradient_from_arrays, loss_from_arrays
+from fedsim.evaluation import operating_points
 from fedsim.model import batch_probs
 
 
@@ -183,6 +184,17 @@ def brute_force_operating_point(scores, labels, durations, targets):
         if best is None or recall > best[1] or (recall == best[1] and tau > best[0]):
             best = (tau, recall, fah)
     return best
+
+
+def one_segment_point(scores, labels, durations, targets) -> tuple[float, float, float]:
+    """(tau, recall, FAH) of operating_points over one segment holding every row."""
+    return tuple(a.item() for a in operating_points(scores, labels, durations, [len(scores)], targets))
+
+
+def same_federation(a: Federation, b: Federation) -> bool:
+    """The same class count and the same five arrays, value for value."""
+    return a.class_count == b.class_count and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("user_ids", "offsets", "y", "duration", "X"))
 
 
 def scored(examples):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fedsim.model
 from fedsim import (
+    AveragingKind,
     AveragingStrategy,
     FederationSpec,
     LocalTrainingConfig,
@@ -39,10 +40,11 @@ from conftest import (
     brute_force_operating_point,
     finite_difference_check,
     make_federation,
+    one_segment_point,
     scored_set,
     stack,
 )
-from fedsim.evaluation import EvalTargets, operating_point
+from fedsim.evaluation import EvalTargets
 
 
 def criterion(num: int, title: str):
@@ -91,7 +93,7 @@ def test_fedsgd_pooled_gradient_equivalence():
     cfg = RoundConfig(
         participation=0.5,
         local=LocalTrainingConfig(epochs=1, batch_size=None, eta_local=eta_local),
-        strategy=AveragingStrategy.plain(1.0),
+        strategy=AveragingStrategy(kind=AveragingKind.PLAIN, eta_global=1.0),
         model=spec,
     )
     state = ServerState.initial(xavier_init(spec, 8))
@@ -114,7 +116,7 @@ def test_adam_scalar_trace_100_rounds():
     rng = np.random.default_rng(303)
     pseudo_gradients = [float(g) for g in rng.standard_normal(100)]
 
-    strategy = AveragingStrategy.adam(lr)
+    strategy = AveragingStrategy(kind=AveragingKind.ADAM, eta_global=lr)
     state = ServerState.initial(np.array([0.3]))
     for t, g in enumerate(pseudo_gradients, start=1):
         state = apply_adam(state, np.array([g]), strategy)
@@ -268,11 +270,11 @@ def test_operating_point_equals_brute_force_everywhere():
     for _ in range(100):
         scored = scored_set(rng, int(rng.integers(2, 501)))
         targets = EvalTargets(fah_budget=float(rng.uniform(0.5, 4000.0)))
-        point = operating_point(*scored, targets)
+        point_tau, point_recall, point_fah = one_segment_point(*scored, targets)
         tau, recall, fah = brute_force_operating_point(*scored, targets)
-        assert point.tau == tau
-        assert point.recall == recall
-        assert point.fah == fah
+        assert point_tau == tau
+        assert point_recall == recall
+        assert point_fah == fah
 
 
 @criterion(10, "end-to-end determinism")

@@ -401,6 +401,19 @@ def test_int_field_outside_int64_fails_with_one_line_naming_it(config_file, caps
     assert err.count("\n") == 1 and err.startswith("error: ") and field in err, err
 
 
+@pytest.mark.parametrize("size_mean, size_std", [(1e300, 0.0), (1e300, 1.0), (1e18, 0.0), (1.7e308, 1.7e308)])
+def test_synthesized_total_past_int64_fails_with_one_line_naming_sizes(config_file, capsys, size_mean, size_std):
+    # the first ended in an OverflowError traceback from np.full, the others in a line that named no field;
+    # each of the third's 20 sizes fits int64 but their total does not, and 4 of the fourth's are inf
+    path, _ = config_file
+    raw = json.loads(path.read_text())
+    raw["federation"]["synthesize"].update(size_mean=size_mean, size_std=size_std)
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "size_mean" in err, err
+
+
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

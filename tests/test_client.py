@@ -21,7 +21,8 @@ from fedsim import (
     train_local,
     xavier_init,
 )
-from fedsim.client import epoch_batches, epoch_order, train_one_step
+from fedsim.client import epoch_batches, train_one_step
+from fedsim.seeding import derive_seed
 
 from conftest import LabeledExample, gaussian_examples, make_federation, reference_gradient
 
@@ -84,8 +85,9 @@ class TestEpochBatches:
 
     @pytest.mark.parametrize("n,batch", [(11, 3), (8, 4), (2, 1)])
     def test_smaller_batches_are_slices_of_the_epoch_order(self, n, batch):
+        # the seeding contract README's "Determinism and seeding" documents
         for epoch in range(3):
-            order = epoch_order(n, 4, 9, epoch).tolist()
+            order = np.random.default_rng(derive_seed(4, 9, epoch)).permutation(n).tolist()
             want = [order[start : start + batch] for start in range(0, n, batch)]
             got = epoch_batches(n, batch, 4, 9, epoch)
             assert [idx.tolist() for idx in got] == want
@@ -117,7 +119,7 @@ class TestTrainLocal:
         cfg = LocalTrainingConfig(epochs=epochs, batch_size=batch, eta_local=0.05)
         w, b = w0, 11 if batch is FULL_BATCH else batch
         for epoch in range(epochs):  # a batch that covers every row takes them in stored order
-            order = np.arange(11) if b >= 11 else epoch_order(11, 6, 8, epoch)
+            order = np.arange(11) if b >= 11 else np.random.default_rng(derive_seed(6, 8, epoch)).permutation(11)
             for start in range(0, 11, b):
                 idx = order[start : start + b]
                 w = w - cfg.eta_local * reference_gradient(spec, w, fed.X[idx], fed.y[idx])

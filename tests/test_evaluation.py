@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from unittest import mock
@@ -19,11 +18,9 @@ from fedsim import (
     EvaluationError,
     FederationSpec,
     ModelSpec,
-    OperatingPoint,
     POSITIVE_LABEL,
     federated_eval,
     loss_from_arrays,
-    operating_point,
     pooled_eval,
     score_examples,
     synthesize_federation,
@@ -39,6 +36,7 @@ from conftest import (
     forward,
     left_to_right_sum,
     make_federation,
+    one_segment_point,
     scored,
     scored_set,
 )
@@ -74,10 +72,11 @@ class TestScoreExamples:
 
 class TestOperatingPoint:
     def test_perfectly_separated(self):
-        point = operating_point(*scored([(0.9, 1, 2.0)] * 4 + [(0.1, 0, 2.0)] * 6), EvalTargets(fah_budget=5.0))
-        assert point.recall == 1.0
-        assert point.fah == 0.0
-        assert 0.1 < point.tau <= 0.9
+        tau, recall, fah = one_segment_point(*scored([(0.9, 1, 2.0)] * 4 + [(0.1, 0, 2.0)] * 6),
+                                             EvalTargets(fah_budget=5.0))
+        assert recall == 1.0
+        assert fah == 0.0
+        assert 0.1 < tau <= 0.9
 
     def test_hour_of_negatives_within_budget(self):
         # 3 negatives of 1200 s: even the lowest threshold stays within 5 FAH,
@@ -86,27 +85,27 @@ class TestOperatingPoint:
         examples = [(float(rng.random()), 1, 2.0) for _ in range(10)]
         examples += [(float(rng.random()), 0, 1200.0) for _ in range(3)]
         targets = EvalTargets(fah_budget=5.0)
-        point = operating_point(*scored(examples), targets)
-        assert point.recall == 1.0
-        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(*scored(examples), targets)
+        tau, recall, fah = one_segment_point(*scored(examples), targets)
+        assert recall == 1.0
+        assert (tau, recall, fah) == brute_force_operating_point(*scored(examples), targets)
 
     @pytest.mark.parametrize("budget,expected_recall", [(5000.0, 1.0), (1.0, 0.0)])
     def test_all_scores_identical(self, budget, expected_recall):
         # 3 negatives over 3 s = 3600 FAH when everything triggers
         examples = scored([(0.5, 1, 1.0)] * 3 + [(0.5, 0, 1.0)] * 3)
         targets = EvalTargets(fah_budget=budget)
-        point = operating_point(*examples, targets)
-        assert point.recall == expected_recall
-        assert (point.tau, point.recall, point.fah) == brute_force_operating_point(*examples, targets)
+        tau, recall, fah = one_segment_point(*examples, targets)
+        assert recall == expected_recall
+        assert (tau, recall, fah) == brute_force_operating_point(*examples, targets)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
             examples = scored_set(rng, int(rng.integers(2, 120)))
             targets = EvalTargets(fah_budget=float(rng.uniform(1.0, 2000.0)))
-            point = operating_point(*examples, targets)
+            tau, recall, fah = one_segment_point(*examples, targets)
             expected = brute_force_operating_point(*examples, targets)
-            assert (point.tau, point.recall, point.fah) == expected
+            assert (tau, recall, fah) == expected
 
     def test_curve_monotone_in_threshold(self):
         rng = np.random.default_rng(31)
@@ -127,22 +126,23 @@ class TestOperatingPoint:
         rng = np.random.default_rng(41)
         scores, labels, durations = scored_set(rng, 50)
         targets = EvalTargets(fah_budget=64.0)
-        point = operating_point(scores, labels, durations, targets)
-        half_budget = operating_point(scores, labels, 2.0 * durations, EvalTargets(fah_budget=32.0))
-        assert half_budget.tau == point.tau
-        assert half_budget.recall == point.recall
-        assert half_budget.fah == point.fah / 2.0
+        tau, recall, fah = one_segment_point(scores, labels, durations, targets)
+        half_tau, half_recall, half_fah = one_segment_point(scores, labels, 2.0 * durations,
+                                                            EvalTargets(fah_budget=32.0))
+        assert half_tau == tau
+        assert half_recall == recall
+        assert half_fah == fah / 2.0
 
     def test_missing_class_rejected(self):
         message = "^operating point needs at least one positive and one negative example$"
         with pytest.raises(ValueError, match=message):
-            operating_point(*scored([(0.5, 1, 1.0)]), EvalTargets())
+            one_segment_point(*scored([(0.5, 1, 1.0)]), EvalTargets())
         with pytest.raises(ValueError, match=message):
-            operating_point(*scored([(0.5, 0, 1.0)]), EvalTargets())
+            one_segment_point(*scored([(0.5, 0, 1.0)]), EvalTargets())
 
     def test_zero_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="^total negative duration must be positive$"):
-            operating_point(*scored([(0.9, 1, 1.0), (0.1, 0, 0.0)]), EvalTargets())
+            one_segment_point(*scored([(0.9, 1, 1.0), (0.1, 0, 0.0)]), EvalTargets())
 
 
 def two_user_partitions():
@@ -174,7 +174,7 @@ class TestFederatedEval:
         fed = two_user_federation()
         rows, _ = fed.rows([1])
         scores = score_examples(SPEC_1D, W_1D, fed.X[rows])
-        expected = operating_point(scores, fed.y[rows], fed.duration[rows], EvalTargets()).recall
+        expected = one_segment_point(scores, fed.y[rows], fed.duration[rows], EvalTargets())[1]
         assert federated_eval(SPEC_1D, W_1D, fed, [1], EvalTargets()) == expected == 1.0
 
     def test_hand_weighted_combination(self):
@@ -614,9 +614,9 @@ class TestSumsAreLeftToRight:
     def test_operating_point_sums_negative_durations_left_to_right(self):
         # the negative scoring 0.95 is the one false alarm; its hours are (1e16 + 1 + 1) s / 3600
         scores, labels = np.array([0.9, 0.95, 0.1, 0.2]), np.array([POSITIVE_LABEL, 0, 0, 0])
-        point = operating_point(scores, labels, np.array([0.0, 1e16, 1.0, 1.0]), EvalTargets(fah_budget=5.0))
-        assert point.fah == 1 / (((1e16 + 1.0) + 1.0) / 3600.0)
-        assert point.fah != 1 / (math.fsum([1e16, 1.0, 1.0]) / 3600.0)
+        _, _, fah = one_segment_point(scores, labels, np.array([0.0, 1e16, 1.0, 1.0]), EvalTargets(fah_budget=5.0))
+        assert fah == 1 / (((1e16 + 1.0) + 1.0) / 3600.0)
+        assert fah != 1 / (math.fsum([1e16, 1.0, 1.0]) / 3600.0)
 
     def test_cohort_loss_is_numpys_mean_of_row_losses(self, monkeypatch):
         # numpy sums 8 or more floats in 8 interleaved partial sums: here 9.0, where
@@ -636,7 +636,3 @@ class TestEarlyStop:
         with pytest.raises(ConfigError):
             EvalTargets(recall_target=1.5)
 
-
-def test_operating_point_holds_tau_recall_and_fah():
-    point = OperatingPoint(tau=0.5, recall=0.8, fah=1.0)
-    assert dataclasses.astuple(point) == (0.5, 0.8, 1.0)

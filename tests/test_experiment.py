@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fedsim.experiment
 from fedsim import (
+    AveragingKind,
     AveragingStrategy,
     ConfigError,
     EvalTargets,
@@ -285,7 +286,8 @@ class TestPythonBuiltEnumValues:
         assert (tmp_path / "federated" / "metrics.csv").read_bytes() != csvs[0]
 
     def test_baseline_mode_string_trains_as_its_member(self, tmp_path):
-        base = dataclasses.replace(config_from_dict(base_raw()), max_rounds=6, strategy=AveragingStrategy.adam(0.05))
+        base = dataclasses.replace(config_from_dict(base_raw()), max_rounds=6,
+                                   strategy=AveragingStrategy(kind=AveragingKind.ADAM, eta_global=0.05))
         for mode in ("central_adam", BaselineMode.CENTRAL_ADAM, BaselineMode.CENTRAL_SGD):
             run_baseline(dataclasses.replace(base, baseline_mode=mode, output_dir=tmp_path / repr(mode)))
         adam, member, sgd = (
