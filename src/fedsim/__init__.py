@@ -38,7 +38,6 @@ from .server import (
     AveragingKind,
     AveragingStrategy,
     RoundConfig,
-    RoundRecord,
     ServerState,
     apply_adam,
     apply_plain,

@@ -131,6 +131,9 @@ class FederationSpec:
             raise ConfigError("user_shift_scale must be nonnegative")
         if self.negative_duration_s <= 0:
             raise ConfigError("negative_duration_s must be positive")
+        if self.user_count * self.feature_dim * 8 >= 2**63:  # the users' float64 shifts; numpy indexes no more
+            raise ConfigError(f"user_count {self.user_count} and feature_dim {self.feature_dim} give 2**63 bytes "
+                              "or more of user shifts")
 
 
 # Rows synthesis assembles a pass at a time, so the pass's temporaries stay small beside X.
@@ -139,7 +142,8 @@ SYNTH_BLOCK_ROWS = 1024
 
 def _partition_sizes(spec: FederationSpec, rng: np.random.Generator) -> np.ndarray:
     """Heavy-tailed per-user sizes: log-normal fitted to (mean, std), rounded half to even, clamped >= 1.
-    ConfigError unless their total is below 2**63, as offsets and row indices need."""
+    ConfigError unless their total is below 2**63, as offsets and row indices need, and their rows'
+    float64 features take less than 2**63 bytes, as numpy needs."""
     if spec.size_std == 0:
         raw = np.full(spec.user_count, spec.size_mean)
     else:
@@ -152,7 +156,11 @@ def _partition_sizes(spec: FederationSpec, rng: np.random.Generator) -> np.ndarr
     # keeps the sum finite, and leaves an inf size inf
     if not math.fsum((sizes * 2.0**-63).tolist()) < 1.0:
         raise ConfigError(f"size_mean {spec.size_mean} and size_std {spec.size_std} give 2**63 or more examples")
-    return sizes.astype(np.intp)
+    sizes = sizes.astype(np.intp)
+    if (n := int(sizes.sum())) * spec.feature_dim * 8 >= 2**63:  # exact: the total fits int64
+        raise ConfigError(f"size_mean {spec.size_mean}, size_std {spec.size_std} and feature_dim {spec.feature_dim} "
+                          f"give {n} examples, 2**63 bytes or more of features")
+    return sizes
 
 
 def synthesize_federation(spec: FederationSpec, seed: int) -> Federation:

@@ -20,7 +20,7 @@ import logging
 import time
 import typing
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,14 +139,12 @@ class ExperimentConfig(RoundConfig):
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One evaluated round; wall_seconds is informational and never written
-    to metrics.csv so identical runs stay byte-identical."""
+    """One evaluated round: one metrics.csv row, its fields the columns in order."""
 
     round: int
     dev_metric: float
     train_loss_mean: float
     cumulative_upload_mb: float
-    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -325,24 +323,13 @@ def _optimize(
         state, upload_mb, train_loss = step(state, t)
         if t % config.eval_every == 0 or t == config.max_rounds:
             dev_metric = named("dev", evaluate, config.model, state.weights, federation, dev, config.targets)
-            metrics.append(
-                MetricsRecord(
-                    round=t,
-                    dev_metric=dev_metric,
-                    train_loss_mean=named("train", train_loss),
-                    cumulative_upload_mb=upload_mb,
-                    wall_seconds=time.perf_counter() - t0,
-                )
-            )
-            rec = metrics[-1]
-            logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", rec.round, rec.dev_metric, rec.wall_seconds)
+            metrics.append(MetricsRecord(round=t, dev_metric=dev_metric, train_loss_mean=named("train", train_loss),
+                                         cumulative_upload_mb=upload_mb))
+            logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", t, dev_metric, time.perf_counter() - t0)
             if config.output_dir is not None:
-                _write_row(
-                    config.output_dir / "metrics.csv",
-                    ["round", "dev_metric", "train_loss_mean", "cumulative_upload_mb"],
-                    [rec.round, rec.dev_metric, rec.train_loss_mean, rec.cumulative_upload_mb],
-                    first=len(metrics) == 1,
-                )
+                columns = [f.name for f in dataclasses.fields(MetricsRecord)]
+                _write_row(config.output_dir / "metrics.csv", columns, dataclasses.astuple(metrics[-1]),
+                           first=len(metrics) == 1)
             if dev_metric >= config.targets.recall_target:
                 to_target = t
                 break
@@ -368,9 +355,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     federation, train, dev, test, w0 = _prepare(config)
 
     def step(state: ServerState, t: int):
-        new_state, record = run_round(state, federation, train, config, derive_seed(config.master_seed, "round", t))
+        new_state, selected = run_round(state, federation, train, config, derive_seed(config.master_seed, "round", t))
         upload_mb = upload_cost_bytes(config.model.param_count, config.participation, t) / 1e6
-        train_loss = functools.partial(cohort_loss, config.model, state.weights, federation, record.selected_users)
+        train_loss = functools.partial(cohort_loss, config.model, state.weights, federation, selected)
         return new_state, upload_mb, train_loss
 
     metrics, report, rounds_to_target, state = _optimize(
@@ -390,9 +377,10 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
 
     Step t takes slot (t - 1) % per_epoch of epoch (t - 1) // per_epoch of
     the clients' epoch_batches over the pool, with seed parts (master_seed,
-    "baseline", epoch), per_epoch being the batches an epoch holds. It is
-    plain SGD at eta_local or the server's Adam at the strategy's settings;
-    an evaluation row's train loss is model.loss_from_arrays over the whole train pool.
+    "baseline", epoch), per_epoch being the batches an epoch holds. It steps
+    through the server's rules: apply_plain at eta_local (SGD), or apply_adam
+    at the strategy's settings; an evaluation row's train loss is
+    model.loss_from_arrays over the whole train pool.
     """
     if config.baseline_mode is BaselineMode.NONE:
         raise ConfigError("baseline_mode is 'none'; nothing to run")
@@ -414,7 +402,7 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
             if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
                 state = server.apply_adam(state, grad, config.strategy)
             else:
-                state = replace(state, weights=state.weights - config.local.eta_local * grad, round=state.round + 1)
+                state = server.apply_plain(state, grad, config.local.eta_local)
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {t}: diverged; {exc}") from None
         return state, 0.0, functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)

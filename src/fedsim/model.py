@@ -41,6 +41,8 @@ class ModelSpec:
             raise ConfigError("final layer must have at least 2 classes")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
+        if self.param_count * 8 >= 2**63:  # numpy indexes no array of 2**63 bytes
+            raise ConfigError(f"layer_dims {list(dims)} give {self.param_count} parameters, 2**63 bytes or more")
 
     @property
     def feature_dim(self) -> int:

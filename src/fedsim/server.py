@@ -85,16 +85,6 @@ class ServerState:
         return cls(weights=np.asarray(weights, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Bookkeeping emitted once per communication round."""
-
-    round: int
-    selected_users: tuple[int, ...]
-    n_r: int
-    pseudo_gradient_norm: float
-
-
 @dataclass(frozen=True, kw_only=True)
 class RoundConfig:
     """Everything a round needs besides server state and data."""
@@ -146,9 +136,9 @@ def pseudo_gradient(w_prev: np.ndarray, sizes, client_weights) -> np.ndarray:
     return acc
 
 
-def apply_plain(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingStrategy) -> ServerState:
-    """w <- w - eta_global * G; moments untouched."""
-    return replace(state, weights=state.weights - strategy.eta_global * pseudo_grad, round=state.round + 1)
+def apply_plain(state: ServerState, grad: np.ndarray, eta: float) -> ServerState:
+    """w <- w - eta * G; moments untouched. A rate, not a strategy: the baseline steps at eta_local, which may be 0."""
+    return replace(state, weights=state.weights - eta * grad, round=state.round + 1)
 
 
 def apply_adam(state: ServerState, pseudo_grad: np.ndarray, strategy: AveragingStrategy) -> ServerState:
@@ -177,8 +167,8 @@ def run_round(
     train_user_ids,
     cfg: RoundConfig,
     round_seed: int,
-) -> tuple[ServerState, RoundRecord]:
-    """One synchronous communication round.
+) -> tuple[ServerState, list[int]]:
+    """One synchronous communication round; returns the new state and the selected users.
 
     Selected clients all train from the same broadcast weights in ascending
     user id, and their deltas join the pseudo-gradient as they finish. When
@@ -208,24 +198,15 @@ def run_round(
     try:
         grad = pseudo_gradient(w_prev, sizes.tolist(), client_weights)
         # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
-        update_rule = apply_adam if cfg.strategy.kind is AveragingKind.ADAM else apply_plain
-        new_state = update_rule(state, grad, cfg.strategy)
+        adam = cfg.strategy.kind is AveragingKind.ADAM
+        new_state = apply_adam(state, grad, cfg.strategy) if adam else apply_plain(state, grad, cfg.strategy.eta_global)
+        # finite coordinates can have a squared norm that overflows, and the plain rule keeps them finite;
         # no BLAS dot: called outside a run's one-thread hold, a dot this long wakes a second thread that spins on
-        grad_norm = math.sqrt(np.add.reduce(grad * grad))
-        # finite coordinates can have a norm that overflows, and the plain rule keeps them finite
-        if not math.isfinite(grad_norm):
+        if not math.isfinite(np.add.reduce(grad * grad)):
             raise FloatingPointError("pseudo-gradient norm not finite")
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
-
-    new_state = replace(new_state, local_steps=state.local_steps + int(steps.sum()))
-    record = RoundRecord(
-        round=new_state.round,
-        selected_users=tuple(selected),
-        n_r=int(sizes.sum()),
-        pseudo_gradient_norm=grad_norm,
-    )
-    return new_state, record
+    return replace(new_state, local_steps=state.local_steps + int(steps.sum())), selected
 
 
 def cohort_loss(spec: ModelSpec, w: np.ndarray, federation: Federation, user_ids) -> float:

@@ -28,8 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim import FederationSpec, config_from_dict, run_baseline, run_experiment, save_federation, sweep
-from fedsim import synthesize_federation
+from fedsim import (
+    FederationSpec,
+    config_from_dict,
+    run_baseline,
+    run_experiment,
+    save_federation,
+    sweep,
+    synthesize_federation,
+)
 
 MANIFEST = Path(__file__).with_name("golden.json")
 SEEDS = (1, 2, 3)

@@ -99,8 +99,8 @@ def test_fedsgd_pooled_gradient_equivalence():
     state = ServerState.initial(xavier_init(spec, 8))
     for t in range(20):
         w_prev = state.weights.copy()
-        state, record = run_round(state, federation, list(federation.user_ids), cfg, 7000 + t)
-        rows, _ = federation.rows(record.selected_users)
+        state, selected = run_round(state, federation, list(federation.user_ids), cfg, 7000 + t)
+        rows, _ = federation.rows(selected)
         X, y = federation.X[rows], federation.y[rows]
         expected = w_prev - eta_local * gradient_from_arrays(spec, w_prev, X, y)
         assert np.max(np.abs(state.weights - expected)) < 1e-10

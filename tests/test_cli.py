@@ -414,6 +414,47 @@ def test_synthesized_total_past_int64_fails_with_one_line_naming_sizes(config_fi
     assert err.count("\n") == 1 and err.startswith("error: ") and "size_mean" in err, err
 
 
+@pytest.mark.parametrize("hidden", [2**62, 2**59])
+@pytest.mark.parametrize("command", ["run", "baseline", "sweep"])
+def test_layer_dims_past_int64_bytes_fail_with_one_line_naming_them(config_file, capsys, command, hidden):
+    # a float64 vector of 2**63 bytes or more: "Maximum allowed dimension exceeded" or "array is too big",
+    # naming no field, and a sweep ran and wrote its first point first
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text())
+    raw["baseline_mode"] = "central_sgd"
+    if command != "sweep":
+        raw["model"]["layer_dims"] = [3, hidden, 2]
+    path.write_text(json.dumps(raw))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"model.layer_dims": [[3, 2], [3, hidden, 2]]}))
+    assert main([command, "--config", str(path), *(["--grid", str(grid)] if command == "sweep" else [])]) == 1
+    point = re.escape(f"sweep point {{'model.layer_dims': [3, {hidden}, 2]}}: ") if command == "sweep" else ""
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {point}layer_dims \[3, {hidden}, 2\] give \d+ parameters, 2\*\*63 bytes or more\n",
+                        err), err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "synthesize, names",
+    [
+        ({"user_count": 5, "size_std": 0.0, "size_mean": 1e17}, ("size_mean", "feature_dim")),
+        ({"user_count": 5, "size_std": 0.0, "size_mean": 1e18}, ("size_mean", "feature_dim")),
+        ({"user_count": 2**60}, ("user_count", "feature_dim")),
+        ({"user_count": 2**61}, ("user_count", "feature_dim")),
+    ],
+)
+def test_synthesis_past_int64_bytes_fails_with_one_line_naming_its_fields(config_file, capsys, synthesize, names):
+    # each printed "array is too big", naming no field; the examples' total of the first two fits int64
+    path, _ = config_file
+    raw = json.loads(path.read_text())
+    raw["federation"]["synthesize"].update(synthesize)
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and all(name in err for name in names), err
+
+
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -436,16 +436,16 @@ class TestRunExperiment:
         federation, train, _, _, w0 = _prepare(cfg)
         runs = []
         for config in (cfg, round_cfg):
-            state, records = ServerState.initial(w0), []
+            state, cohorts = ServerState.initial(w0), []
             for t in range(1, 4):
                 seed = derive_seed(cfg.master_seed, "round", t)
-                state, record = run_round(state, federation, train, config, seed)
-                records.append(record)
-            runs.append((state, records))
-        (state_a, records_a), (state_b, records_b) = runs
+                state, selected = run_round(state, federation, train, config, seed)
+                cohorts.append(selected)
+            runs.append((state, cohorts))
+        (state_a, cohorts_a), (state_b, cohorts_b) = runs
         for name in ("weights", "m", "v"):
             assert getattr(state_a, name).tobytes() == getattr(state_b, name).tobytes()
-        assert records_a == records_b
+        assert cohorts_a == cohorts_b
 
     def test_zero_eta_single_round_keeps_initial_metric(self):
         raw = base_raw(max_rounds=1)
@@ -582,12 +582,12 @@ class TestRunExperiment:
         state = ServerState.initial(w0)
         for t in range(1, cfg.max_rounds + 1):
             broadcast = state.weights
-            state, record = run_round(state, federation, train, round_cfg,
-                                      derive_seed(cfg.master_seed, "round", t))
+            state, selected = run_round(state, federation, train, round_cfg,
+                                        derive_seed(cfg.master_seed, "round", t))
             if t not in rows:
                 continue
             losses, sizes = [], []
-            for uid in record.selected_users:
+            for uid in selected:
                 user_rows, (n_k,) = federation.rows([uid])
                 per_row = [-np.log(forward(cfg.model, broadcast, x)[label])
                            for x, label in zip(federation.X[user_rows], federation.y[user_rows])]
@@ -611,9 +611,9 @@ class TestRunExperiment:
         real, cohorts = fedsim.experiment.run_round, []
 
         def spy(state, federation, train, config, seed):
-            state, record = real(state, federation, train, config, seed)
-            cohorts.append(federation.sizes(record.selected_users).tolist())
-            return state, record
+            state, selected = real(state, federation, train, config, seed)
+            cohorts.append(federation.sizes(selected).tolist())
+            return state, selected
 
         monkeypatch.setattr(fedsim.experiment, "run_round", spy)
         raw = base_raw(max_rounds=4, participation=0.5, targets={"fah_budget": 1.0, "recall_target": 1.0})
@@ -1048,6 +1048,65 @@ class TestPoolsCheckedBeforeRoundOne:
         assert len(run_experiment(config_from_dict(raw)).metrics) == 1
 
 
+def synthesize_with(**fields) -> dict:
+    """base_raw with the synthesis spec's fields set."""
+    raw = base_raw()
+    raw["federation"]["synthesize"].update(fields)
+    return raw
+
+
+def load_with_header(tmp_path: Path, header: dict):
+    """load_federation of a file of one user under the given header line."""
+    path = tmp_path / "users.jsonl"
+    record = {"user_id": 0, "features": [0.5, 0.5, 0.5], "label": 0, "duration_s": 1.0}
+    path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
+    return fedsim.load_federation(path)
+
+
+# (what is built or run, given a scratch directory; the start of its error message)
+CONFIG_CHECKS = {
+    "max_rounds": (lambda tmp: config_from_dict(base_raw(max_rounds=0)), "max_rounds must be >= 1"),
+    "eval_every": (lambda tmp: config_from_dict(base_raw(eval_every=0)), "eval_every must be >= 1"),
+    "size_std": (lambda tmp: config_from_dict(synthesize_with(size_std=-1.0)), "size_std must be nonnegative"),
+    "class_count": (lambda tmp: config_from_dict(synthesize_with(class_count=1)), "class_count must be >= 2"),
+    "user_shift_scale": (lambda tmp: config_from_dict(synthesize_with(user_shift_scale=-0.5)),
+                         "user_shift_scale must be nonnegative"),
+    "negative_duration_s": (lambda tmp: config_from_dict(synthesize_with(negative_duration_s=0.0)),
+                            "negative_duration_s must be positive"),
+    "user_shifts_past_int64_bytes": (lambda tmp: FederationSpec(user_count=5, feature_dim=2**60),
+                                     "user_count 5 and feature_dim 1152921504606846976 give 2**63 bytes or more"),
+    "document_not_an_object": (lambda tmp: config_from_dict([base_raw()]), "config must be a JSON object"),
+    "empty_training_pool": (
+        lambda tmp: run_experiment(config_from_dict(base_raw(split={"train_frac": 0.0, "dev_frac": 0.5}))),
+        "user split produced an empty training pool",
+    ),
+    "header_class_count": (lambda tmp: load_with_header(tmp, {"feature_dim": 3, "class_count": 1}),
+                           "{path}: line 1: class_count must be an integer >= 2"),
+    "no_partition": (lambda tmp: Federation(np.zeros((0, 3)), [], [], [], [0], 2),
+                     "federation needs at least one partition"),
+    "offsets_not_from_zero": (lambda tmp: Federation(np.zeros((2, 3)), [0, 1], [1.0, 1.0], [5], [1, 2], 2),
+                              "offsets must run from 0 to 2 with one entry per user plus one"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_CHECKS))
+def test_a_config_or_input_that_cannot_work_names_its_cause(tmp_path, case):
+    build, message = CONFIG_CHECKS[case]
+    with pytest.raises(ValueError) as raised:
+        build(tmp_path)
+    assert str(raised.value).startswith(message.format(path=tmp_path / "users.jsonl")), raised.value
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_an_empty_test_pool_reports_no_test_metric(tmp_path, baseline):
+    raw = base_raw(split={"train_frac": 0.6, "dev_frac": 0.4}, max_rounds=2, output_dir=str(tmp_path))
+    if baseline:
+        raw["baseline_mode"] = "central_sgd"
+    (run_baseline if baseline else run_experiment)(config_from_dict(raw))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "test_metric" in report and report["test_metric"] is None
+
+
 class TestUserOrderInvariance:
     @pytest.mark.parametrize("eval_mode", ["pooled", "federated"])
     def test_reordering_users_in_file_changes_nothing(self, tmp_path, monkeypatch, eval_mode):
@@ -1163,6 +1222,4 @@ class TestOneBlasThread:
         result = run_experiment(config_from_dict(base_raw(max_rounds=3)))
         assert seen and set(seen) == {CALLER_THREADS}
         assert caller_threads() == CALLER_THREADS
-        assert [dataclasses.replace(m, wall_seconds=0) for m in result.metrics] == [
-            dataclasses.replace(m, wall_seconds=0) for m in held.metrics
-        ]
+        assert result.metrics == held.metrics
