@@ -303,28 +303,27 @@ def _optimize(
     whose dev metric is at least the recall target, then evaluates test users
     once. Writes each row as it is made; returns the rows, the report fields
     both drivers write, the step that met the target (None if none did) and
-    the last state. A FloatingPointError of an evaluation or the train loss
-    names `{unit} t` and the pool.
+    the last state. A FloatingPointError of step t names `{unit} t`, and one
+    of an evaluation or the train loss names the pool too.
     """
     if config.output_dir is not None:  # an earlier run's files must not sit beside this run's
         for name in ("metrics.csv", "report.json"):
             (config.output_dir / name).unlink(missing_ok=True)
     evaluate = pooled_eval if config.eval_mode is EvalMode.POOLED else federated_eval
 
-    def named(pool: str, compute: Callable[..., float], *args) -> float:
+    def named(where: str, compute: Callable, *args):
         try:
             return compute(*args)
         except FloatingPointError as exc:
-            raise FloatingPointError(f"{unit} {t}: diverged; {pool} pool: {exc}") from None
+            raise FloatingPointError(f"{unit} {t}: diverged; {where}{exc}") from None
 
     metrics: list[MetricsRecord] = []
     dev_metric = to_target = None
     for t in range(1, config.max_rounds + 1):
-        state, upload_mb, train_loss = step(state, t)
+        state, upload_mb, train_loss = named("", step, state, t)
         if t % config.eval_every == 0 or t == config.max_rounds:
-            dev_metric = named("dev", evaluate, config.model, state.weights, federation, dev, config.targets)
-            metrics.append(MetricsRecord(round=t, dev_metric=dev_metric, train_loss_mean=named("train", train_loss),
-                                         cumulative_upload_mb=upload_mb))
+            dev_metric = named("dev pool: ", evaluate, config.model, state.weights, federation, dev, config.targets)
+            metrics.append(MetricsRecord(t, dev_metric, named("train pool: ", train_loss), upload_mb))
             logger.info("round %d: dev_metric=%.6f, %.3f s elapsed", t, dev_metric, time.perf_counter() - t0)
             if config.output_dir is not None:
                 columns = [f.name for f in dataclasses.fields(MetricsRecord)]
@@ -334,7 +333,7 @@ def _optimize(
                 to_target = t
                 break
     w = state.weights
-    test_metric = named("test", evaluate, config.model, w, federation, test, config.targets) if test else None
+    test_metric = named("test pool: ", evaluate, config.model, w, federation, test, config.targets) if test else None
     report = {
         "dev_metric": dev_metric,
         "test_metric": test_metric,
@@ -353,6 +352,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     t0 = time.perf_counter()
     federation, train, dev, test, w0 = _prepare(config)
+    n = int(federation.sizes(train).max())  # a Python int, so the count below cannot wrap
+    if (steps := local_step_count(n, config.local.batch_size, config.local.epochs)) >= 2**63:
+        raise ConfigError(f"local.epochs and local.batch_size give the largest train user ({n} rows) {steps} "
+                          "local steps, 2**63 or more")
 
     def step(state: ServerState, t: int):
         new_state, selected = run_round(state, federation, train, config, derive_seed(config.master_seed, "round", t))
@@ -398,13 +401,10 @@ def run_baseline(config: ExperimentConfig) -> ExperimentResult:
         epoch, slot = divmod(t - 1, per_epoch)
         idx = epoch_of(epoch)[slot]
         grad = model_ops.gradient_from_arrays(config.model, state.weights, X[idx], y[idx])
-        try:
-            if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
-                state = server.apply_adam(state, grad, config.strategy)
-            else:
-                state = server.apply_plain(state, grad, config.local.eta_local)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"step {t}: diverged; {exc}") from None
+        if config.baseline_mode is BaselineMode.CENTRAL_ADAM:
+            state = server.apply_adam(state, grad, config.strategy)
+        else:
+            state = server.apply_plain(state, grad, config.local.eta_local)
         return state, 0.0, functools.partial(model_ops.loss_from_arrays, config.model, state.weights, X, y)
 
     metrics, report, steps_to_target, _ = _optimize(

@@ -85,31 +85,29 @@ def _activate(spec: ModelSpec, z: np.ndarray, out=None) -> np.ndarray:
     return np.tanh(z, out=out)
 
 
-def _activate_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_grad(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
+    """The activation's derivative, read from its output a."""
     if spec.activation == "relu":
-        return z > 0.0  # subgradient 0 at exactly 0; multiplies as 1.0 or 0.0
+        return a > 0.0  # relu(z) > 0 exactly where z > 0, NaN included; subgradient 0 at 0
     return 1.0 - a * a
 
 
 def _forward_cached(spec: ModelSpec, layers, X: np.ndarray):
-    """Run the net with the given _layer_views on a batch, keeping
-    pre-activations for backprop.
+    """Run the net with the given _layer_views on a batch, keeping every
+    layer's input for backprop.
 
-    Returns (logits, caches) where caches[l] = (input activation, z) per
-    hidden layer.
+    Returns (logits, [X, a_1, ...]): the batch, then each hidden layer's
+    activation, computed in place.
     """
-    a = X
-    caches = []
+    acts = [X]
     for weight, bias in layers[:-1]:
-        z = a @ weight
-        z += bias
-        caches.append((a, z))
-        a = _activate(spec, z)
+        a = acts[-1] @ weight
+        a += bias
+        acts.append(_activate(spec, a, out=a))
     weight, bias = layers[-1]
-    logits = a @ weight
+    logits = acts[-1] @ weight
     logits += bias
-    caches.append((a, None))
-    return logits, caches
+    return logits, acts
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -214,7 +212,7 @@ def gradient_from_arrays(
     bit the 2-D call's: numpy multiplies a stack slice by slice, as in 2-D."""
     n = X.shape[-2]
     layers = _layer_views(spec, w) if layers is None else layers
-    logits, caches = _forward_cached(spec, layers, X)
+    logits, acts = _forward_cached(spec, layers, X)
     delta = _softmax(logits)
     delta -= y[..., None] == np.arange(logits.shape[-1])  # minus one at the label: x - 0.0 is x
     delta /= n
@@ -222,13 +220,10 @@ def gradient_from_arrays(
     out = np.empty(X.shape[:-2] + w.shape) if out is None else out
     views = _layer_views(spec, out) if out_layers is None else out_layers
     for idx in range(len(layers) - 1, -1, -1):
-        a_in, _ = caches[idx]
         g_w, g_b = views[idx]
-        np.matmul(a_in.swapaxes(-1, -2), delta, out=g_w)
+        np.matmul(acts[idx].swapaxes(-1, -2), delta, out=g_w)
         np.add.reduce(delta, axis=-2, out=g_b)
         if idx > 0:
-            weight, _ = layers[idx]
-            _, z_prev = caches[idx - 1]
-            delta = delta @ weight.T
-            delta *= _activate_grad(spec, z_prev, a_in)
+            delta = delta @ layers[idx][0].T
+            delta *= _activate_grad(spec, acts[idx])
     return out

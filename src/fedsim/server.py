@@ -177,7 +177,8 @@ def run_round(
     time; otherwise one at a time through train_local. The configured
     update rule then advances the global weights, and the new state counts
     the cohort's local steps. A client's, the new state's or the
-    pseudo-gradient norm's FloatingPointError names the round.
+    pseudo-gradient norm's FloatingPointError is raised as its cause alone;
+    the caller names the round.
     """
     selected = select_clients(train_user_ids, cfg.participation, round_seed)
     sizes = federation.sizes(selected)
@@ -195,17 +196,14 @@ def run_round(
                           for lo, hi in blocks)
     else:
         client_weights = (train_local(w_prev, federation, u, cfg.local, cfg.model, round_seed) for u in selected)
-    try:
-        grad = pseudo_gradient(w_prev, sizes.tolist(), client_weights)
-        # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
-        adam = cfg.strategy.kind is AveragingKind.ADAM
-        new_state = apply_adam(state, grad, cfg.strategy) if adam else apply_plain(state, grad, cfg.strategy.eta_global)
-        # finite coordinates can have a squared norm that overflows, and the plain rule keeps them finite;
-        # no BLAS dot: called outside a run's one-thread hold, a dot this long wakes a second thread that spins on
-        if not math.isfinite(np.add.reduce(grad * grad)):
-            raise FloatingPointError("pseudo-gradient norm not finite")
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"round {state.round + 1}: diverged; {exc}") from None
+    grad = pseudo_gradient(w_prev, sizes.tolist(), client_weights)
+    # looked up per call, so a rule wrapped on this module (bench/spans.py) is the one called
+    adam = cfg.strategy.kind is AveragingKind.ADAM
+    new_state = apply_adam(state, grad, cfg.strategy) if adam else apply_plain(state, grad, cfg.strategy.eta_global)
+    # finite coordinates can have a squared norm that overflows, and the plain rule keeps them finite;
+    # no BLAS dot: called outside a run's one-thread hold, a dot this long wakes a second thread that spins on
+    if not math.isfinite(np.add.reduce(grad * grad)):
+        raise FloatingPointError("pseudo-gradient norm not finite")
     return replace(new_state, local_steps=state.local_steps + int(steps.sum())), selected
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import logging
 import os
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim
 from fedsim import POSITIVE_LABEL, Federation, FederationSpec, save_federation, synthesize_federation
@@ -32,6 +37,12 @@ DIVERGING = {
         {"local": {"epochs": 1, "batch_size": None, "eta_local": 1e200},
          "strategy": {"kind": "adam", "eta_global": 0.001}},
         ROUND_DIVERGED + r"server weights or Adam moments not finite\n",
+    ),
+    # the plain rule keeps the weights finite; only the pseudo-gradient's norm overflows
+    "eta_1e200_plain": (
+        {"local": {"epochs": 1, "batch_size": None, "eta_local": 1e200},
+         "strategy": {"kind": "plain", "eta_global": 1.0}},
+        ROUND_DIVERGED + r"pseudo-gradient norm not finite\n",
     ),
 }
 
@@ -453,6 +464,74 @@ def test_synthesis_past_int64_bytes_fails_with_one_line_naming_its_fields(config
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("epochs", [2**62, 2**63 - 1])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_local_steps_past_int64_fail_before_round_one_in_a_subprocess(config_file, command, epochs):
+    # epochs * ceil(n / 4) wrapped in local_step_count's int64 arrays, and the first client trained without end
+    path, tmp_path = config_file
+    raw = json.loads(path.read_text())
+    raw["local"] = {"epochs": epochs, "batch_size": 4, "eta_local": 0.3}
+    path.write_text(json.dumps(raw))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"participation": [0.5]}))
+    proc = run_cli_subprocess(command, "--config", str(path), *(["--grid", str(grid)] if command == "sweep" else []))
+    assert proc.returncode == 1
+    point = re.escape("sweep point {'participation': 0.5}: ") if command == "sweep" else ""
+    assert re.fullmatch(rf"error: {point}local\.epochs and local\.batch_size give the largest train user "
+                        rf"\(\d+ rows\) \d+ local steps, 2\*\*63 or more\n", proc.stderr), proc.stderr
+
+
+# values that a config field may meet, and which of a small config's keys they replace: every key, objects included
+MUTANTS = [0, -1, 2**63, 2**70, 1e308, True, "x", [], {}]
+MUTABLE = {
+    "federation": {"synthesize": {"user_count": 12, "size_mean": 6.0, "size_std": 2.0, "positive_rate": 0.35,
+                                  "feature_dim": 3, "class_count": 2, "user_shift_scale": 0.5,
+                                  "negative_duration_s": 3.0}},
+    "split": {"train_frac": 0.5, "dev_frac": 0.25},
+    "model": {"layer_dims": [3, 4, 2], "activation": "relu"},
+    "local": {"epochs": 2, "batch_size": 4, "eta_local": 0.3},
+    "strategy": {"kind": "adam", "eta_global": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},
+    "participation": 0.5,
+    "max_rounds": 2,
+    "targets": {"fah_budget": 300.0, "recall_target": 0.9},
+    "master_seed": 7,
+    "eval_every": 1,
+    "eval_mode": "federated",
+    "baseline_mode": "central_sgd",
+}
+
+
+def key_paths(raw: dict, path: tuple = ()):
+    for key, value in raw.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+
+
+@given(command=st.sampled_from(["run", "baseline", "sweep"]),
+       edits=st.lists(st.tuples(st.sampled_from(list(key_paths(MUTABLE))), st.sampled_from(MUTANTS)),
+                      min_size=1, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_config_exits_cleanly_or_with_one_error_line(tmp_path_factory, command, edits):
+    raw = json.loads(json.dumps(MUTABLE))
+    for path, value in edits:
+        node = raw
+        for key in path[:-1]:  # an edit below a value an earlier edit replaced is dropped
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = copy.deepcopy(value)  # a later edit may go into it
+    tmp = tmp_path_factory.mktemp("mutant")
+    (tmp / "config.json").write_text(json.dumps(raw))
+    (tmp / "grid.json").write_text(json.dumps({"participation": [0.5]}))
+    argv = [command, "--config", str(tmp / "config.json"), "--output-dir", str(tmp / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv + (["--grid", str(tmp / "grid.json")] if command == "sweep" else []))
+    assert (status, err.getvalue()) == (0, "") or (
+        status == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    ), (edits, status, err.getvalue())
 
 
 def test_missing_config_fails_with_diagnostic(tmp_path, capsys):

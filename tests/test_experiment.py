@@ -488,7 +488,8 @@ class TestRunExperiment:
     def test_crash_keeps_completed_rows(self, tmp_path, monkeypatch):
         # rows stream to metrics.csv as they are made; a crash in round 3
         # keeps rows 1-2, byte for byte, and leaves no report.json (not even
-        # the one an earlier run left in the same directory)
+        # the one an earlier run left in the same directory); the run names
+        # the round of the cause the step raised
         raw = base_raw(max_rounds=5, targets={"fah_budget": 300.0, "recall_target": 1.0},
                        output_dir=str(tmp_path / "out"))
         run_experiment(config_from_dict(raw))
@@ -498,11 +499,11 @@ class TestRunExperiment:
 
         def failing(state, *args):
             if state.round == 2:
-                raise FloatingPointError("round 3: diverged; injected")
+                raise FloatingPointError("injected")
             return real(state, *args)
 
         monkeypatch.setattr(fedsim.experiment, "run_round", failing)
-        with pytest.raises(FloatingPointError, match="^round 3: diverged"):
+        with pytest.raises(FloatingPointError, match="^round 3: diverged; injected$"):
             run_experiment(config_from_dict(raw))
         partial = (tmp_path / "out" / "metrics.csv").read_bytes()
         assert [line.split(b",")[0] for line in partial.splitlines()] == [b"round", b"1", b"2"]
@@ -701,6 +702,16 @@ class TestRunBaseline:
         a, s = adam.report["steps_to_target"], sgd.report["steps_to_target"]
         assert a is not None
         assert s is None or a < s
+
+    def test_a_gradient_raised_under_errstate_names_its_step(self):
+        # the first step leaves finite weights whose next gradient overflows in a product of the hidden layer;
+        # numpy set to raise, the gradient raises, and the run names the step as for any other cause
+        raw = base_raw(model={"layer_dims": [3, 4, 2]}, local={"epochs": 1, "batch_size": 4, "eta_local": 1e300},
+                       baseline_mode="central_sgd", eval_every=5)
+        with np.errstate(all="raise"), pytest.raises(
+            FloatingPointError, match=r"^step 2: diverged; overflow encountered in matmul$"
+        ):
+            run_baseline(config_from_dict(raw))
 
     def test_zero_rate_never_reaches_nontrivial_target(self):
         raw = self._raw("central_sgd", max_rounds=10)
